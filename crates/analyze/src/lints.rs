@@ -111,7 +111,9 @@ pub const CYCLE_CHARGED: &[&str] = &["machine", "ustm", "tl2", "core"];
 /// inside (or drives) the deterministic simulation. Host tooling — `bench`
 /// (wall-clock measurement is its job), `analyze`, and `xtask` — is
 /// excluded (D3/D5 scope).
-pub const DETERMINISTIC: &[&str] = &["machine", "ustm", "tl2", "core", "sim", "stamp", "root"];
+pub const DETERMINISTIC: &[&str] = &[
+    "api", "machine", "ustm", "tl2", "core", "sim", "stamp", "root",
+];
 
 /// Crates deliberately allowed to observe host state, each with the
 /// recorded justification for its exemption. Every crate in the workspace

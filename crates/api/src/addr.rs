@@ -1,6 +1,8 @@
 //! Address newtypes and geometry constants.
 //!
-//! The simulated machine is word-addressed at an 8-byte granularity but all
+//! Both substrates share one address space: the simulated machine's
+//! physical memory and the native backend's word-indexed host heap. It is
+//! word-addressed at an 8-byte granularity but all
 //! protection and coherence state is kept per 64-byte cache line, and paging
 //! operates on 4 KiB pages — the same granularities the paper assumes.
 
@@ -27,6 +29,7 @@ pub struct Addr(pub u64);
 impl Addr {
     /// Creates an address from a word index (i.e. `index * 8` bytes).
     #[must_use]
+    #[inline]
     pub const fn from_word_index(index: u64) -> Self {
         Addr(index * WORD_BYTES)
     }
@@ -37,6 +40,7 @@ impl Addr {
     ///
     /// Panics if the address is not word-aligned.
     #[must_use]
+    #[inline]
     pub fn word_index(self) -> u64 {
         assert!(
             self.0.is_multiple_of(WORD_BYTES),
@@ -47,24 +51,28 @@ impl Addr {
 
     /// The cache line containing this address.
     #[must_use]
+    #[inline]
     pub const fn line(self) -> LineAddr {
         LineAddr(self.0 / LINE_BYTES)
     }
 
     /// The page containing this address.
     #[must_use]
+    #[inline]
     pub const fn page(self) -> PageAddr {
         PageAddr(self.0 / PAGE_BYTES)
     }
 
     /// The address `count` words after this one.
     #[must_use]
+    #[inline]
     pub const fn add_words(self, count: u64) -> Self {
         Addr(self.0 + count * WORD_BYTES)
     }
 
     /// Raw byte value.
     #[must_use]
+    #[inline]
     pub const fn as_u64(self) -> u64 {
         self.0
     }
@@ -98,6 +106,7 @@ pub struct LineAddr(pub u64);
 impl LineAddr {
     /// The first (lowest) byte address in this line.
     #[must_use]
+    #[inline]
     pub const fn base_addr(self) -> Addr {
         Addr(self.0 * LINE_BYTES)
     }
@@ -105,12 +114,14 @@ impl LineAddr {
     /// The index of this line within the memory image (identical to the raw
     /// line number; provided for symmetry with [`Addr::word_index`]).
     #[must_use]
+    #[inline]
     pub const fn index(self) -> u64 {
         self.0
     }
 
     /// The page containing this line.
     #[must_use]
+    #[inline]
     pub const fn page(self) -> PageAddr {
         PageAddr(self.0 / PAGE_LINES)
     }
@@ -129,6 +140,7 @@ pub struct PageAddr(pub u64);
 impl PageAddr {
     /// The first cache line in this page.
     #[must_use]
+    #[inline]
     pub const fn first_line(self) -> LineAddr {
         LineAddr(self.0 * PAGE_LINES)
     }

@@ -30,17 +30,20 @@ pub struct HybridPolicy {
     /// contention ("the STM's overhead will increase the transaction's
     /// duration, … increasing contention"; such policies are metastable).
     pub conflict_failover_after: Option<u32>,
-    /// Base of the exponential backoff applied after contention-class
-    /// aborts (doubled per consecutive abort, counted up to
-    /// [`HybridPolicy::backoff_cap_exp`]).
+    /// Base of the exponential backoff applied after counted hardware
+    /// aborts: `backoff_base << min(n, backoff_cap_exp)` cycles after the
+    /// `n`-th consecutive one.
     pub backoff_base: u64,
     /// Consecutive-abort count saturates here (the paper counts "up to 7").
     pub backoff_cap_exp: u32,
     /// Cycles a [`BtmUfoFaultPolicy::Stall`] retry waits between attempts.
     pub ufo_stall_backoff: u64,
-    /// Percent of each backoff added as seeded random jitter (watchdog
-    /// tier 0: randomized backoff breaks symmetric abort ping-pong). `0`
-    /// keeps the paper's pure exponential schedule.
+    /// Seeded random jitter (watchdog tier 0: randomized backoff breaks
+    /// symmetric abort ping-pong): each backoff `b` becomes
+    /// `b + uniform[0, b·pct/100)`, the same meaning as
+    /// `NativeHybridPolicy::backoff_jitter_pct`. `0` keeps the paper's
+    /// pure exponential schedule. The TL2 baseline's backoff is never
+    /// jittered.
     pub backoff_jitter_pct: u32,
     /// Watchdog tier 1: after this many *consecutive* hardware aborts of
     /// any recoverable class, stop retrying in hardware and fail the
@@ -76,14 +79,6 @@ impl Default for HybridPolicy {
 }
 
 impl HybridPolicy {
-    /// The backoff (in cycles) after the `n`-th consecutive
-    /// contention-class abort.
-    #[must_use]
-    pub fn backoff_for(&self, consecutive_aborts: u32) -> u64 {
-        let exp = consecutive_aborts.min(self.backoff_cap_exp);
-        self.backoff_base << exp
-    }
-
     /// Figure 8, second bar: fail over to software after `n` conflict
     /// aborts.
     #[must_use]
@@ -128,15 +123,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_doubles_then_saturates() {
-        let p = HybridPolicy::default();
-        assert_eq!(p.backoff_for(0), 50);
-        assert_eq!(p.backoff_for(1), 100);
-        assert_eq!(p.backoff_for(7), 50 << 7);
-        assert_eq!(p.backoff_for(20), 50 << 7, "saturates at the cap");
-    }
-
-    #[test]
     fn presets_set_the_right_knobs() {
         assert_eq!(
             HybridPolicy::failover_on_nth_conflict(5).conflict_failover_after,
@@ -163,6 +149,9 @@ mod tests {
         assert!(w.backoff_jitter_pct > 0);
         // The armed watchdog leaves the paper's CM knobs alone.
         assert_eq!(w.conflict_failover_after, None);
-        assert_eq!(w.backoff_for(1), d.backoff_for(1));
+        assert_eq!(
+            (w.backoff_base, w.backoff_cap_exp),
+            (d.backoff_base, d.backoff_cap_exp)
+        );
     }
 }

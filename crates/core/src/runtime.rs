@@ -1,6 +1,7 @@
 //! The per-thread transaction drivers: retry loops, the BTM abort handler
 //! (paper Algorithm 3), and the hybrid failover machinery.
 
+use ufotm_api::{AbortClass, Decision, RetryCore, RetryPolicy, Tally};
 use ufotm_machine::{splitmix64, AbortInfo, AbortReason, AccessError, Addr, PlainAccess, SimRng};
 use ufotm_sim::Ctx;
 use ufotm_tl2::Tl2Txn;
@@ -57,14 +58,12 @@ pub struct TmThread {
     ustm: UstmTxn,
     tl2: Tl2Txn,
     alloc_budget: u32,
-    consecutive: u32,
+    /// Algorithm 3's retry/escalation decision, shared with the native
+    /// hybrid.
+    retry: RetryCore,
     /// Seeded per-thread stream for backoff jitter (watchdog tier 0);
     /// deterministic per CPU, so runs stay bit-reproducible.
     rng: SimRng,
-    /// Global commit count at this thread's last watchdog observation.
-    last_commits: u64,
-    /// Consecutive watchdog observations with no global commit progress.
-    stagnant: u32,
 }
 
 impl TmThread {
@@ -77,6 +76,7 @@ impl TmThread {
     /// Creates a runtime with an explicit hybrid policy (Figure 8 knobs).
     #[must_use]
     pub fn with_policy(kind: SystemKind, cpu: usize, policy: HybridPolicy) -> Self {
+        let ufo = kind == SystemKind::UfoHybrid;
         TmThread {
             cpu,
             kind,
@@ -84,10 +84,18 @@ impl TmThread {
             ustm: UstmTxn::new(cpu),
             tl2: Tl2Txn::new(cpu),
             alloc_budget: 1, // first allocation refills the pool
-            consecutive: 0,
+            // Contention failover and the hardware watchdog tier belong to
+            // the UFO hybrid's abort handler alone.
+            retry: RetryCore::new(RetryPolicy {
+                backoff_base: policy.backoff_base,
+                backoff_cap_exp: policy.backoff_cap_exp,
+                backoff_jitter_pct: policy.backoff_jitter_pct,
+                failover_after: policy.conflict_failover_after.filter(|_| ufo),
+                watchdog_after: policy.watchdog_hw_attempts.filter(|_| ufo),
+                serial_after: policy.watchdog_sw_kills,
+                stagnation_after: policy.watchdog_stagnation,
+            }),
             rng: SimRng::seed_from_u64(splitmix64(&mut (0x057a_7d06 ^ cpu as u64))),
-            last_commits: 0,
-            stagnant: 0,
         }
     }
 
@@ -115,7 +123,6 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         mut body: impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
-        self.consecutive = 0;
         match self.kind {
             SystemKind::Sequential => self.plain_path(ctx, &mut body, false),
             SystemKind::GlobalLock => self.plain_path(ctx, &mut body, true),
@@ -158,8 +165,8 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
-        let mut kills: u32 = 0;
-        let mut serial_refused = false;
+        let mut tally = Tally::default();
+        let mut aborted = None;
         loop {
             if self.serial_gate_armed() {
                 self.wait_serial_clear(ctx);
@@ -172,15 +179,10 @@ impl TmThread {
             // persistent machine refuses the escalation (counted once per
             // transaction) and stays on the software tier, whose
             // age-ordered kills still guarantee progress.
-            if let Some(limit) = self.policy.watchdog_sw_kills {
-                let stagnant = kills > 0 && self.observe_stagnation(ctx);
-                if (kills >= limit || stagnant) && self.kind.strong_atomicity() && !serial_refused {
-                    if self.refuse_serial_escalation(ctx) {
-                        serial_refused = true;
-                    } else {
-                        self.escalate(ctx, EscalationTier::Serial);
-                        return self.serial_path(ctx, body);
-                    }
+            if let Some(class) = aborted.take() {
+                if self.decide(ctx, &mut tally, class, true) == Decision::Escalate {
+                    self.escalate(ctx, EscalationTier::Serial);
+                    return self.serial_path(ctx, body);
                 }
             }
             trace(ctx, TraceKind::SwBegin);
@@ -193,7 +195,7 @@ impl TmThread {
             );
             let out = body(&mut tx, ctx);
             let bk = tx.into_bookkeeping();
-            match out {
+            let class = match out {
                 Ok(r) => {
                     let fences_before = ctx.with(|w| w.machine.persist_stats().fences);
                     match self.ustm.commit(ctx) {
@@ -210,27 +212,22 @@ impl TmThread {
                             bk.run_deferred();
                             return r;
                         }
-                        Err(UstmAbort::Killed { .. }) => {
-                            undo_allocs(ctx, &bk.allocs);
-                            trace(ctx, TraceKind::SwAbort);
-                            self.ustm.wait_for_killer(ctx);
-                            kills += 1;
-                        }
+                        Err(UstmAbort::Killed { .. }) => AbortClass::SlowFailed,
                         Err(other) => unreachable!("commit produced {other:?}"),
                     }
                 }
-                Err(TxAbort::Stm(UstmAbort::Killed { .. })) => {
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
-                    self.ustm.wait_for_killer(ctx);
-                    kills += 1;
-                }
+                Err(TxAbort::Stm(UstmAbort::Killed { .. })) => AbortClass::SlowFailed,
                 Err(TxAbort::Stm(UstmAbort::RetryWoken | UstmAbort::Explicit)) => {
-                    undo_allocs(ctx, &bk.allocs);
-                    trace(ctx, TraceKind::SwAbort);
+                    AbortClass::SlowRestart
                 }
                 Err(other) => unreachable!("USTM body produced {other}"),
+            };
+            undo_allocs(ctx, &bk.allocs);
+            trace(ctx, TraceKind::SwAbort);
+            if class == AbortClass::SlowFailed {
+                self.ustm.wait_for_killer(ctx);
             }
+            aborted = Some(class);
         }
     }
 
@@ -239,6 +236,7 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
+        let mut aborts = 0;
         loop {
             trace(ctx, TraceKind::SwBegin);
             self.tl2.begin(ctx);
@@ -271,8 +269,9 @@ impl TmThread {
                 }
                 Err(other) => unreachable!("TL2 body produced {other}"),
             }
-            self.consecutive += 1;
-            let backoff = self.policy.backoff_for(self.consecutive);
+            // Un-jittered: this path ignores `backoff_jitter_pct`.
+            aborts += 1;
+            let backoff = self.retry.policy().backoff_for(aborts);
             ctx.with(|w| w.shared.tm().stats.backoff_cycles += backoff);
             ctx.stall(backoff).plain("TL2 backoff");
         }
@@ -403,39 +402,84 @@ impl TmThread {
         }
     }
 
-    /// Exponential backoff after a contention-class abort (Algorithm 3's
-    /// counted backoff), with optional seeded jitter (watchdog tier 0 —
-    /// symmetric contenders otherwise back off in lockstep and re-collide).
-    fn backoff<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) {
-        self.consecutive += 1;
-        ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
-        let mut cycles = self.policy.backoff_for(self.consecutive);
-        if self.policy.backoff_jitter_pct > 0 {
-            let span = cycles * u64::from(self.policy.backoff_jitter_pct) / 100;
-            if span > 0 {
-                cycles += self.rng.gen_range(0..span);
-            }
-        }
-        ctx.with(|w| w.shared.tm().stats.backoff_cycles += cycles);
-        ctx.stall(cycles).plain("backoff stall");
+    /// One Algorithm-3 step after an abort (see [`RetryCore::on_abort`]).
+    /// With `watch` set and stagnation armed, the global commit count
+    /// feeds the livelock detector; jitter comes from this CPU's seeded
+    /// stream; serial escalation needs strong atomicity and a volatile
+    /// machine.
+    fn decide<U: TmWorld>(
+        &mut self,
+        ctx: &mut Ctx<U>,
+        tally: &mut Tally,
+        class: AbortClass,
+        watch: bool,
+    ) -> Decision {
+        let commits = (watch && self.policy.watchdog_stagnation.is_some())
+            .then(|| ctx.with(|w| w.shared.tm().stats.total_commits()));
+        let strong = self.kind.strong_atomicity();
+        let rng = &mut self.rng;
+        self.retry.on_abort(
+            tally,
+            class,
+            commits,
+            || strong && !Self::refuse_serial_escalation(ctx),
+            |span| rng.gen_range(0..span),
+        )
     }
 
-    /// One watchdog observation: has the whole system committed anything
-    /// since this thread last looked? Returns `true` when the stagnation
-    /// limit is armed and has been reached (the livelock signature:
-    /// everybody aborts, nobody commits).
-    fn observe_stagnation<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> bool {
-        let Some(limit) = self.policy.watchdog_stagnation else {
-            return false;
+    /// Algorithm 3 after a hardware abort. A page fault gets a
+    /// non-transactional (strong-atomicity-aware) touch of the page and an
+    /// immediate retry; any other abort is classified and decided by the
+    /// core: back off and retry (`None`), or record the failover or
+    /// watchdog escalation and return the tier the transaction moves to.
+    /// Only the UFO hybrid watches for stagnation; the unbounded HTM, with
+    /// no software to fail over to, treats every abort as transient.
+    fn hw_abort<U: TmWorld>(
+        &mut self,
+        ctx: &mut Ctx<U>,
+        tally: &mut Tally,
+        info: AbortInfo,
+    ) -> Option<EscalationTier> {
+        let class = match info.reason {
+            AbortReason::PageFault => {
+                if let Some(a) = info.addr {
+                    let _ = nont_load(ctx, a);
+                }
+                ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
+                return None;
+            }
+            _ if self.kind == SystemKind::UnboundedHtm => AbortClass::Transient,
+            r if r.is_failover() => AbortClass::Unfit,
+            AbortReason::Conflict
+            | AbortReason::NonTConflict
+            | AbortReason::UfoSet
+            | AbortReason::UfoFault => AbortClass::Contention,
+            _ => AbortClass::Transient,
         };
-        let now = ctx.with(|w| w.shared.tm().stats.total_commits());
-        if now != self.last_commits {
-            self.last_commits = now;
-            self.stagnant = 0;
-            return false;
+        match self.decide(ctx, tally, class, self.kind == SystemKind::UfoHybrid) {
+            Decision::Retry { backoff } => {
+                ctx.with(|w| {
+                    let stats = &mut w.shared.tm().stats;
+                    stats.hw_retries += 1;
+                    stats.backoff_cycles += backoff;
+                });
+                ctx.stall(backoff).plain("backoff stall");
+                None
+            }
+            Decision::Failover { watchdog: false } => {
+                ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
+                trace(ctx, TraceKind::Failover(info.reason));
+                Some(EscalationTier::Software)
+            }
+            Decision::Failover { watchdog: true } => {
+                self.escalate(ctx, EscalationTier::Software);
+                Some(EscalationTier::Software)
+            }
+            Decision::Escalate => {
+                self.escalate(ctx, EscalationTier::Serial);
+                Some(EscalationTier::Serial)
+            }
         }
-        self.stagnant += 1;
-        self.stagnant >= limit
     }
 
     /// Whether a serial-irrevocable escalation must be refused because
@@ -446,7 +490,7 @@ impl TmThread {
     /// software tier. Each refusal bumps
     /// [`HybridStats::durable_serial_refusals`](crate::HybridStats), so
     /// a run that degraded this way is visible in its report.
-    fn refuse_serial_escalation<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> bool {
+    fn refuse_serial_escalation<U: TmWorld>(ctx: &mut Ctx<U>) -> bool {
         ctx.with(|w| {
             let durable = w.machine.persist_enabled();
             if durable {
@@ -458,7 +502,6 @@ impl TmThread {
 
     /// Records a watchdog escalation (counter + trace journal).
     fn escalate<U: TmWorld>(&mut self, ctx: &mut Ctx<U>, tier: EscalationTier) {
-        self.stagnant = 0;
         ctx.with(|w| w.shared.tm().stats.watchdog_escalations += 1);
         trace(ctx, TraceKind::WatchdogEscalation(tier));
     }
@@ -560,40 +603,6 @@ impl TmThread {
         r
     }
 
-    /// Watchdog tiers 1–2 for hardware attempts. `Software` once the
-    /// consecutive-abort limit trips; `Serial` straight away when global
-    /// commit progress has stalled (per-transaction patience cannot break
-    /// a livelock — every contender must leave the optimistic path).
-    fn watchdog_tier<U: TmWorld>(&mut self, ctx: &mut Ctx<U>) -> Option<EscalationTier> {
-        let stagnant = self.observe_stagnation(ctx);
-        if stagnant && self.kind.strong_atomicity() {
-            // On a persistent machine the serial tier is off the table
-            // (no redo record — see `refuse_serial_escalation`); fall
-            // through to the software tier instead.
-            if !self.refuse_serial_escalation(ctx) {
-                return Some(EscalationTier::Serial);
-            }
-        }
-        let tripped = self
-            .policy
-            .watchdog_hw_attempts
-            .is_some_and(|n| self.consecutive + 1 >= n);
-        if tripped || stagnant {
-            return Some(EscalationTier::Software);
-        }
-        None
-    }
-
-    /// Software fix-up for a page-fault abort: touch the page
-    /// non-transactionally (strong-atomicity-aware), then retry in hardware
-    /// (Algorithm 3).
-    fn resolve_page_fault<U: TmWorld>(&mut self, ctx: &mut Ctx<U>, addr: Option<Addr>) {
-        if let Some(a) = addr {
-            let _ = nont_load(ctx, a);
-        }
-        ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
-    }
-
     // --- the paper's hybrid ---------------------------------------------
 
     /// The UFO hybrid (paper §4.3): try BTM, classify aborts per
@@ -604,6 +613,7 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
+        let mut tally = Tally::default();
         loop {
             match self.hw_attempt(ctx, body, false, false) {
                 Ok(r) => return r,
@@ -619,46 +629,11 @@ impl TmThread {
                 // for it to finish, then retry in hardware (no backoff —
                 // this is not contention, and the wait itself paces us).
                 Err(HwFail::SerialBusy) => self.wait_serial_clear(ctx),
-                Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
-                        return self.ustm_path(ctx, body);
-                    }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                        AbortReason::Conflict
-                        | AbortReason::NonTConflict
-                        | AbortReason::UfoSet
-                        | AbortReason::UfoFault => {
-                            if let Some(n) = self.policy.conflict_failover_after {
-                                if self.consecutive + 1 >= n {
-                                    ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                                    trace(ctx, TraceKind::Failover(info.reason));
-                                    return self.ustm_path(ctx, body);
-                                }
-                            }
-                            if let Some(tier) = self.watchdog_tier(ctx) {
-                                self.escalate(ctx, tier);
-                                return match tier {
-                                    EscalationTier::Serial => self.serial_path(ctx, body),
-                                    EscalationTier::Software => self.ustm_path(ctx, body),
-                                };
-                            }
-                            self.backoff(ctx);
-                        }
-                        _ => {
-                            if let Some(tier) = self.watchdog_tier(ctx) {
-                                self.escalate(ctx, tier);
-                                return match tier {
-                                    EscalationTier::Serial => self.serial_path(ctx, body),
-                                    EscalationTier::Software => self.ustm_path(ctx, body),
-                                };
-                            }
-                            self.backoff(ctx);
-                        }
-                    }
-                }
+                Err(HwFail::Abort(info)) => match self.hw_abort(ctx, &mut tally, info) {
+                    None => {}
+                    Some(EscalationTier::Software) => return self.ustm_path(ctx, body),
+                    Some(EscalationTier::Serial) => return self.serial_path(ctx, body),
+                },
             }
         }
     }
@@ -673,22 +648,25 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
+        let mut tally = Tally::default();
         loop {
             match self.hw_attempt(ctx, body, false, false) {
                 Ok(r) => return r,
-                Err(HwFail::Abort(info)) => match info.reason {
-                    AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                    AbortReason::Syscall => {
-                        // The pool refill already happened; pay its cost
-                        // outside the transaction and retry.
-                        let cost = ctx.with(|w| w.shared.tm().alloc_model.syscall_cost);
-                        ctx.work(cost).plain("refill outside txn");
-                        ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
-                    }
-                    _ => self.backoff(ctx),
-                },
-                // No software to fail over to: spin and retry.
-                Err(HwFail::Forced) | Err(HwFail::RetryRequested) => self.backoff(ctx),
+                Err(HwFail::Abort(info)) if info.reason == AbortReason::Syscall => {
+                    // The pool refill already happened; pay its cost
+                    // outside the transaction and retry.
+                    let cost = ctx.with(|w| w.shared.tm().alloc_model.syscall_cost);
+                    ctx.work(cost).plain("refill outside txn");
+                    ctx.with(|w| w.shared.tm().stats.hw_retries += 1);
+                }
+                Err(HwFail::Abort(info)) => {
+                    self.hw_abort(ctx, &mut tally, info);
+                }
+                // No software to fail over to: spin and retry (both hooks
+                // abort the BTM transaction as Explicit).
+                Err(HwFail::Forced | HwFail::RetryRequested) => {
+                    self.hw_abort(ctx, &mut tally, AbortInfo::new(AbortReason::Explicit));
+                }
                 Err(HwFail::PhaseBusy | HwFail::SerialBusy) => unreachable!(),
             }
         }
@@ -701,6 +679,7 @@ impl TmThread {
         ctx: &mut Ctx<U>,
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
+        let mut tally = Tally::default();
         loop {
             match self.hw_attempt(ctx, body, true, false) {
                 Ok(r) => return r,
@@ -712,17 +691,11 @@ impl TmThread {
                 Err(HwFail::PhaseBusy | HwFail::SerialBusy) => {
                     unreachable!("no phase check or serial gate in HyTM")
                 }
+                // Explicit = otable conflict with an STM txn: retry in
+                // hardware after backoff (paper §5).
                 Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
+                    if self.hw_abort(ctx, &mut tally, info).is_some() {
                         return self.ustm_path(ctx, body);
-                    }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                        // Explicit = otable conflict with an STM txn:
-                        // retry in hardware after backoff (paper §5).
-                        _ => self.backoff(ctx),
                     }
                 }
             }
@@ -737,6 +710,7 @@ impl TmThread {
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
     ) -> R {
         let cpu = self.cpu;
+        let mut tally = Tally::default();
         loop {
             // Phase check (plain reads of both counters).
             let (must, stm) = ctx.with(|w| {
@@ -769,14 +743,8 @@ impl TmThread {
                 Err(HwFail::PhaseBusy) => { /* loop back to the phase check */ }
                 Err(HwFail::SerialBusy) => unreachable!("no serial gate in PhTM"),
                 Err(HwFail::Abort(info)) => {
-                    if info.reason.is_failover() {
-                        ctx.with(|w| w.shared.tm().stats.record_failover(info.reason));
-                        trace(ctx, TraceKind::Failover(info.reason));
+                    if self.hw_abort(ctx, &mut tally, info).is_some() {
                         return self.phtm_sw(ctx, body, true);
-                    }
-                    match info.reason {
-                        AbortReason::PageFault => self.resolve_page_fault(ctx, info.addr),
-                        _ => self.backoff(ctx),
                     }
                 }
             }

@@ -7,7 +7,6 @@
 //! take the same path — exactly the property that makes the hybrid's
 //! hardware transactions zero-overhead.
 
-use crate::addr::{Addr, LineAddr};
 use crate::bits::{cpu_bit, BitIter};
 use crate::btm::{AbortInfo, AbortReason};
 use crate::cache::L1Insert;
@@ -15,6 +14,7 @@ use crate::chaos::ChaosFaultKind;
 use crate::config::{HwCmPolicy, UfoKillPolicy};
 use crate::machine::{AccessError, AccessResult, CpuId, Machine};
 use crate::ufo::{UfoBits, UfoFaultKind};
+use crate::{Addr, LineAddr};
 
 impl Machine {
     /// Loads the word at `addr` from CPU `cpu`.

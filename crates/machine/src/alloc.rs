@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::addr::{Addr, LINE_WORDS};
+use crate::{Addr, LINE_WORDS};
 
 /// Errors returned by [`SimAlloc`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -14,7 +14,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
-use crate::addr::{Addr, LineAddr};
+use crate::{Addr, LineAddr};
 
 /// Why a BTM transaction aborted — the contents of the abort-reason status
 /// register (paper §3.1 lists this exact set, plus the UFO interactions from

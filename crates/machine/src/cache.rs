@@ -6,7 +6,7 @@
 //! speculative lines no longer fit in an L1 set must abort with
 //! `AbortReason::Overflow`, exactly as in the paper.
 
-use crate::addr::LineAddr;
+use crate::LineAddr;
 
 /// Geometry of a set-associative cache with 64-byte lines.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

@@ -9,9 +9,9 @@
 //! [`Machine`](crate::Machine); this module only maintains the state and its
 //! invariants.
 
-use crate::addr::LineAddr;
 use crate::bits::{cpu_bit, BitIter};
 use crate::ufo::UfoBits;
+use crate::LineAddr;
 
 /// Directory state for one line.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 
 mod access;
-mod addr;
 mod alloc;
 mod bits;
 mod btm;
@@ -64,9 +63,6 @@ mod stats;
 mod swap;
 mod ufo;
 
-pub use addr::{
-    Addr, LineAddr, PageAddr, LINE_BYTES, LINE_WORDS, PAGE_BYTES, PAGE_LINES, WORD_BYTES,
-};
 pub use alloc::{AllocError, SimAlloc};
 pub use bits::{cpu_bit, BitIter};
 pub use btm::{AbortInfo, AbortReason, BtmEvent, BtmStatus};
@@ -79,3 +75,6 @@ pub use rng::{splitmix64, SimRng};
 pub use stats::{CpuStats, MachineStats};
 pub use swap::{SwapConfig, SwapStats};
 pub use ufo::{UfoBits, UfoFaultKind};
+pub use ufotm_api::{
+    Addr, LineAddr, PageAddr, LINE_BYTES, LINE_WORDS, PAGE_BYTES, PAGE_LINES, WORD_BYTES,
+};

@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use crate::addr::Addr;
 use crate::bits::cpu_bit;
 use crate::btm::{AbortInfo, AbortReason, BtmCpu, BtmEvent, BtmStatus};
 use crate::cache::{L1Cache, L2Cache};
@@ -20,6 +19,7 @@ use crate::persist::PersistState;
 use crate::stats::MachineStats;
 use crate::swap::SwapState;
 use crate::ufo::{UfoBits, UfoFaultKind};
+use crate::Addr;
 
 /// Identifies a simulated CPU (0-based).
 pub type CpuId = usize;

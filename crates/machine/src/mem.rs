@@ -4,7 +4,7 @@
 //! writes are buffered per-CPU and only applied at commit, so the image never
 //! contains uncommitted hardware-transactional state.
 
-use crate::addr::Addr;
+use crate::Addr;
 
 /// A flat, word-addressed memory image.
 #[derive(Clone, Debug)]

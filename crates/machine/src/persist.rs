@@ -26,9 +26,9 @@
 
 use std::collections::VecDeque;
 
-use crate::addr::{Addr, LineAddr, LINE_WORDS};
 use crate::btm::{AbortInfo, AbortReason};
 use crate::machine::{AccessError, AccessResult, CpuId, Machine};
+use crate::{Addr, LineAddr, LINE_WORDS};
 
 /// Configuration for the persistence domain.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

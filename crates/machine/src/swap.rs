@@ -12,10 +12,10 @@
 
 use std::collections::BTreeMap;
 
-use crate::addr::{Addr, PageAddr, PAGE_LINES};
 use crate::btm::{AbortInfo, AbortReason};
 use crate::machine::{AccessError, AccessResult, CpuId, Machine};
 use crate::ufo::UfoBits;
+use crate::{Addr, PageAddr, PAGE_LINES};
 
 /// Configuration for the paging model.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -185,7 +185,7 @@ impl Machine {
             swap.stats.ufo_pages_restored += 1;
             let first = page.first_line();
             for (i, b) in bits.into_iter().enumerate() {
-                let line = crate::addr::LineAddr(first.0 + i as u64);
+                let line = crate::LineAddr(first.0 + i as u64);
                 if line.index() < self.cfg.memory_lines() {
                     self.dir.set_ufo(line, b);
                 } else {
@@ -214,7 +214,7 @@ impl Machine {
         let mut bits = Vec::with_capacity(PAGE_LINES as usize);
         let mut any = false;
         for i in 0..PAGE_LINES {
-            let line = crate::addr::LineAddr(first.0 + i);
+            let line = crate::LineAddr(first.0 + i);
             if line.index() >= self.cfg.memory_lines() {
                 break;
             }

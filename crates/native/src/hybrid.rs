@@ -3,10 +3,13 @@
 //! simulated `HybridTm` driver.
 //!
 //! Each [`HybridThread`] runs transactions on the TL2 fast path
-//! ([`NativeTxn`]) until `failover_after` consecutive aborts (with
-//! jittered exponential backoff between attempts, the policy shape of
-//! `ufotm_core::HybridPolicy`), then executes **one** transaction on the
-//! USTM slow path ([`NativeUstmTxn`]) and returns to the fast path.
+//! ([`NativeTxn`]) until `failover_after` consecutive aborts, with
+//! jittered exponential backoff between attempts, then executes **one**
+//! transaction on the USTM slow path ([`NativeUstmTxn`]) and returns to
+//! the fast path; after `serial_after` failed slow attempts it escalates
+//! to a serial-irrevocable tier. Backoff, failover and escalation are
+//! decided by [`RetryCore`], the same Algorithm-3 core the simulated
+//! driver uses.
 //!
 //! ## The mode gate
 //!
@@ -36,31 +39,35 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
-use ufotm_core::{Stop, TmBackend, TxScope};
-use ufotm_machine::Addr;
-use ufotm_ustm::UstmAbort;
+use ufotm_api::{
+    AbortClass, Addr, Decision, RetryCore, RetryPolicy, Stop, Tally, TmBackend, TxScope, UstmAbort,
+};
 
 use crate::chaos::{self, lock_recover, FailSite};
 use crate::guard::GuardStats;
 use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
-/// Failover/backoff policy for the native hybrid — the same shape as
-/// the simulated `HybridPolicy`'s retry knobs, with jitter on by
-/// default (real threads, unlike sim CPUs, gain nothing from
-/// deterministic lockstep backoff).
+/// Failover/backoff policy for the native hybrid — the same knobs, with
+/// the same meaning, as the simulated `HybridPolicy`'s retry knobs, with
+/// jitter on by default (real threads, unlike sim CPUs, gain nothing
+/// from deterministic lockstep backoff).
 #[derive(Clone, Copy, Debug)]
 pub struct NativeHybridPolicy {
-    /// Consecutive fast-path aborts before one slow-path execution.
+    /// Consecutive fast-path aborts before one slow-path execution; the
+    /// `failover_after`-th abort fails over without backing off.
     pub failover_after: u32,
     /// Base spin units for fast-path retry backoff.
     pub backoff_base: u64,
-    /// Backoff doubles per abort up to `base << cap`.
+    /// The backoff after the `n`-th consecutive abort is
+    /// `backoff_base << min(n, backoff_cap_exp)` spin units.
     pub backoff_cap_exp: u32,
-    /// ± percentage of random jitter applied to each backoff.
-    pub backoff_jitter_pct: u64,
-    /// Slow-path attempts before escalating to the serial-irrevocable
-    /// tier (the native mirror of the simulator's third watchdog tier).
+    /// Random jitter: each backoff `b` becomes `b + uniform[0, b·pct/100)`,
+    /// the same meaning as `HybridPolicy::backoff_jitter_pct`.
+    pub backoff_jitter_pct: u32,
+    /// Failed slow-path attempts before escalating to the
+    /// serial-irrevocable tier (the native mirror of the simulator's
+    /// third watchdog tier).
     pub serial_after: u32,
 }
 
@@ -310,6 +317,9 @@ pub struct HybridThread<'a> {
     forced_failovers: u64,
     serial_commits: u64,
     serial_escalations: u64,
+    retry: RetryCore,
+    /// xorshift64 state for backoff jitter (per-thread seed; no fairness
+    /// claims).
     rng: u64,
 }
 
@@ -324,6 +334,7 @@ impl<'a> HybridThread<'a> {
         tid: usize,
         threads: usize,
     ) -> Self {
+        let p = shared.policy;
         HybridThread {
             shared,
             fast: NativeTxn::new(&shared.tl2, tid),
@@ -336,6 +347,16 @@ impl<'a> HybridThread<'a> {
             forced_failovers: 0,
             serial_commits: 0,
             serial_escalations: 0,
+            // No hardware watchdog and no stagnation detector natively.
+            retry: RetryCore::new(RetryPolicy {
+                backoff_base: p.backoff_base,
+                backoff_cap_exp: p.backoff_cap_exp,
+                backoff_jitter_pct: p.backoff_jitter_pct,
+                failover_after: Some(p.failover_after),
+                watchdog_after: None,
+                serial_after: Some(p.serial_after),
+                stagnation_after: None,
+            }),
             rng: 0x9E37_79B9_7F4A_7C15 ^ ((tid as u64 + 1) << 17),
         }
     }
@@ -361,30 +382,23 @@ impl<'a> HybridThread<'a> {
         }
     }
 
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64; per-thread seed, jitter only (no fairness claims).
-        let mut x = self.rng;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.rng = x;
-        x
-    }
-
-    /// Jittered exponential backoff between fast-path retries
-    /// (`base << min(n, cap)` ± `jitter_pct`%, the `HybridPolicy`
-    /// schedule with jitter).
-    fn backoff(&mut self, consecutive: u32) {
-        let p = self.shared.policy;
-        let base = p.backoff_base << consecutive.min(p.backoff_cap_exp);
-        let spin = if p.backoff_jitter_pct == 0 {
-            base
-        } else {
-            let span = base * p.backoff_jitter_pct / 100;
-            base - span + self.next_rand() % (2 * span + 1)
-        };
-        spin_work(spin);
-        std::thread::yield_now();
+    /// One decision-core step after an abort of `class` on the path
+    /// `tally` counts. The native substrate has no stagnation detector
+    /// and may always escalate.
+    fn decide(&mut self, tally: &mut Tally, class: AbortClass) -> Decision {
+        let rng = &mut self.rng;
+        self.retry.on_abort(
+            tally,
+            class,
+            None,
+            || true,
+            |span| {
+                *rng ^= *rng << 13;
+                *rng ^= *rng >> 7;
+                *rng ^= *rng << 17;
+                *rng % span
+            },
+        )
     }
 
     /// Registers a fast-path transaction, quiescing while any slow-path
@@ -424,9 +438,10 @@ impl<'a> HybridThread<'a> {
 
     /// Runs one transaction to commit on the USTM slow path: raise the
     /// mode, drain the fast path, retry the body under USTM until it
-    /// commits, release the mode. After `serial_after` failed attempts,
-    /// escalates to the serial-irrevocable tier — the third watchdog
-    /// tier, mirroring the simulator's. Between attempts the slow path
+    /// commits, release the mode. Once the decision core says so (after
+    /// `serial_after` failed attempts), escalates to the
+    /// serial-irrevocable tier — the third watchdog tier, mirroring the
+    /// simulator's. Between attempts the slow path
     /// parks (deregistering from the mode) while a serial transaction
     /// runs, so the serial tier's drain always terminates.
     fn run_slow<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
@@ -436,11 +451,8 @@ impl<'a> HybridThread<'a> {
         while shared.fast_inflight.load(Ordering::SeqCst) != 0 {
             std::thread::yield_now();
         }
-        let mut attempts = 0u32;
+        let mut tally = Tally::default();
         let committed = loop {
-            if attempts >= shared.policy.serial_after {
-                break None;
-            }
             if shared.serial_mode.load(Ordering::SeqCst) != 0 {
                 // Park: hand the mode back so the serial tier can drain,
                 // re-register once it completes.
@@ -455,7 +467,6 @@ impl<'a> HybridThread<'a> {
                     std::thread::yield_now();
                 }
             }
-            attempts += 1;
             self.slow.begin();
             match body(&mut self.slow) {
                 Ok(r) => match self.slow.commit() {
@@ -474,6 +485,10 @@ impl<'a> HybridThread<'a> {
                         self.slow.wait_for_killer();
                     }
                 }
+            }
+            // Every failed attempt counts, hand-made stops included.
+            if self.decide(&mut tally, AbortClass::SlowFailed) == Decision::Escalate {
+                break None;
             }
         };
         shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
@@ -557,23 +572,29 @@ impl TxScope for SerialScope<'_> {
 
 impl TmBackend for HybridThread<'_> {
     fn transaction<R>(&mut self, mut body: impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        let mut consecutive = 0u32;
-        loop {
-            if self.force_slow || consecutive >= self.shared.policy.failover_after {
-                let forced = std::mem::take(&mut self.force_slow);
-                let r = self.run_slow(&mut body);
-                self.failovers += 1;
-                if forced {
-                    self.forced_failovers += 1;
+        let forced = std::mem::take(&mut self.force_slow);
+        if !forced {
+            let mut tally = Tally::default();
+            loop {
+                if let Some(r) = self.try_fast(&mut body) {
+                    return r;
                 }
-                return r;
+                match self.decide(&mut tally, AbortClass::Contention) {
+                    Decision::Retry { backoff } => {
+                        spin_work(backoff);
+                        std::thread::yield_now();
+                    }
+                    Decision::Failover { .. } => break,
+                    Decision::Escalate => unreachable!("the fast path never escalates natively"),
+                }
             }
-            if let Some(r) = self.try_fast(&mut body) {
-                return r;
-            }
-            consecutive += 1;
-            self.backoff(consecutive);
         }
+        let r = self.run_slow(&mut body);
+        self.failovers += 1;
+        if forced {
+            self.forced_failovers += 1;
+        }
+        r
     }
 
     fn plain_load(&mut self, addr: Addr) -> u64 {
@@ -621,14 +642,6 @@ impl TmBackend for HybridThread<'_> {
 
     fn serial_commits(&mut self) -> u64 {
         self.serial_commits
-    }
-
-    fn orphan_reclaims(&mut self) -> u64 {
-        self.shared.tl2.orphan_steals() + self.shared.ustm.orphan_releases()
-    }
-
-    fn helper_completions(&mut self) -> u64 {
-        self.shared.ustm.helper_completions()
     }
 }
 

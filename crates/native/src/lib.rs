@@ -1,10 +1,13 @@
 //! # `ufotm-native` — the paper's hybrid on real OS threads
 //!
 //! Host-atomics implementations of the reproduction's TM systems, with
-//! **zero simulator involvement**. Where the simulated crates charge
-//! deterministic cycles and replay bit-for-bit, this crate measures
-//! what the paper's design actually costs in wall-clock ops/sec on
-//! real contended cache lines:
+//! **zero simulator involvement**: the crate's one dependency is the
+//! leaf `ufotm-api` (addresses, the backend traits, the abort types and
+//! the retry/escalation core it shares with the simulator), so it
+//! compiles without any simulator crate. Where the simulated crates
+//! charge deterministic cycles and replay bit-for-bit, this crate
+//! measures what the paper's design actually costs in wall-clock
+//! ops/sec on real contended cache lines:
 //!
 //! * [`NativeTl2`] / [`NativeTxn`] / [`NativeThread`] — the
 //!   simulated TL2's version-lock protocol on `AtomicU64` stripes; the
@@ -19,7 +22,9 @@
 //!   x86_64 only; disable at runtime with `UFOTM_SKIP_GUARD=1`).
 //! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the failover
 //!   driver: TL2 fast path, USTM slow path after `failover_after`
-//!   consecutive aborts with jittered backoff, PhTM-style mode gate.
+//!   consecutive aborts with jittered backoff, serial tier after
+//!   `serial_after` failed slow attempts, PhTM-style mode gate — with
+//!   every retry decision made by the shared `RetryCore`.
 //!
 //! The sim and native implementations are cross-validated
 //! (`crates/stamp`'s `cross_validate` suite): the same transaction

@@ -2,7 +2,7 @@
 //! in its own right).
 //!
 //! The same version-lock + global-clock protocol as the simulated
-//! [`ufotm-tl2`](ufotm_tl2) crate — striped version-locks keyed by cache
+//! `ufotm-tl2` crate — striped version-locks keyed by cache
 //! line, a global version clock, read-set validation, lock-ordered
 //! write-back — but executed with `AtomicU64` operations on real host
 //! memory, with **zero simulator involvement**.
@@ -39,9 +39,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Barrier;
 
-use ufotm_core::{Stop, TmBackend, TxScope};
-use ufotm_machine::Addr;
-use ufotm_tl2::Tl2Abort;
+use ufotm_api::{
+    AbortClass, Addr, Decision, RetryCore, RetryPolicy, Stop, Tally, Tl2Abort, TmBackend, TxScope,
+};
 
 use crate::chaos::{self, FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
@@ -371,7 +371,6 @@ pub struct NativeTxn<'a> {
     reads: Vec<usize>,
     writes: BTreeMap<u64, u64>,
     active: bool,
-    consecutive_aborts: u32,
     /// Event counters for this handle.
     pub stats: NativeStats,
 }
@@ -396,7 +395,6 @@ impl<'a> NativeTxn<'a> {
             reads: Vec::new(),
             writes: BTreeMap::new(),
             active: false,
-            consecutive_aborts: 0,
             stats: NativeStats::default(),
         }
     }
@@ -431,7 +429,6 @@ impl<'a> NativeTxn<'a> {
         self.reads.clear();
         self.writes.clear();
         self.active = false;
-        self.consecutive_aborts += 1;
         self.stats.count_abort(abort);
     }
 
@@ -513,7 +510,6 @@ impl<'a> NativeTxn<'a> {
         if self.writes.is_empty() {
             // Read-only fast path: every read already validated against rv.
             self.active = false;
-            self.consecutive_aborts = 0;
             self.stats.commits += 1;
             return Ok(());
         }
@@ -603,7 +599,6 @@ impl<'a> NativeTxn<'a> {
         self.writes.clear();
         self.reads.clear();
         self.active = false;
-        self.consecutive_aborts = 0;
         self.stats.commits += 1;
         Ok(())
     }
@@ -614,15 +609,11 @@ impl<'a> NativeTxn<'a> {
         }
     }
 
-    pub(crate) fn backoff(&self) {
-        // Exponential pause backoff, capped like the simulated TL2's
-        // `backoff_base << min(aborts, 6)` schedule.
-        spin_work(16u64 << self.consecutive_aborts.min(6));
-    }
-
     /// Runs `body` as a transaction, retrying with exponential backoff
     /// until commit, and returns its result.
     pub fn run<R>(&mut self, mut body: impl FnMut(&mut NativeTxn<'a>) -> Result<R, Tl2Abort>) -> R {
+        let mut core = TL2_RETRY;
+        let mut tally = Tally::default();
         loop {
             self.begin();
             if let Ok(r) = body(self) {
@@ -634,10 +625,19 @@ impl<'a> NativeTxn<'a> {
                 // still live (e.g. a fabricated abort): drop it cleanly.
                 self.drop_attempt();
             }
-            self.backoff();
+            let decision = core.on_abort(&mut tally, AbortClass::Contention, None, || false, |_| 0);
+            let Decision::Retry { backoff } = decision else {
+                unreachable!("TL2 has no failover target, got {decision:?}")
+            };
+            spin_work(backoff);
         }
     }
 }
+
+/// TL2's retry schedule: pause backoff of `16 << min(n, 6)` spin units
+/// after the `n`-th consecutive abort (the simulated TL2's capped
+/// schedule), no jitter, and no failover — TL2 retries forever.
+const TL2_RETRY: RetryCore = RetryCore::new(RetryPolicy::exponential(16, 6));
 
 impl TxScope for NativeTxn<'_> {
     fn read(&mut self, addr: Addr) -> Result<u64, Stop> {
@@ -688,22 +688,9 @@ impl<'a> NativeThread<'a> {
 
 impl TmBackend for NativeThread<'_> {
     fn transaction<R>(&mut self, mut body: impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        loop {
-            self.txn.begin();
-            match body(&mut self.txn) {
-                Ok(r) => {
-                    if self.txn.commit().is_ok() {
-                        return r;
-                    }
-                }
-                Err(Stop) => {
-                    if self.txn.is_active() {
-                        self.txn.drop_attempt();
-                    }
-                }
-            }
-            self.txn.backoff();
-        }
+        // The abort value is only a retry signal to `run`.
+        self.txn
+            .run(|t| body(t).map_err(|Stop| Tl2Abort::ReadValidation))
     }
 
     fn plain_load(&mut self, addr: Addr) -> u64 {
@@ -728,10 +715,6 @@ impl TmBackend for NativeThread<'_> {
 
     fn threads(&self) -> usize {
         self.threads
-    }
-
-    fn orphan_reclaims(&mut self) -> u64 {
-        self.txn.shared.orphan_steals()
     }
 }
 

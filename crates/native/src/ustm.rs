@@ -2,10 +2,10 @@
 //! table and age-ordered conflict resolution, on real OS threads.
 //!
 //! This is the host-atomics rendition of the simulated
-//! [`ufotm-ustm`](ufotm_ustm) crate, reshaped for real hardware:
+//! `ufotm-ustm` crate, reshaped for real hardware:
 //!
 //! * **Ownership table** — the same chained-hash shape as the simulated
-//!   [`Otable`](ufotm_ustm::Otable) (Fibonacci hash of the 64-byte line
+//!   `Otable` (Fibonacci hash of the 64-byte line
 //!   number, power-of-two bins, one record per owned line with a writer
 //!   slot and a reader list), but sharded: each bin is a host `Mutex`
 //!   over its entry chain, and the protocol never holds more than one
@@ -47,9 +47,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
-use ufotm_core::{Stop, TxScope};
-use ufotm_machine::Addr;
-use ufotm_ustm::UstmAbort;
+use ufotm_api::{Addr, Stop, TxScope, UstmAbort};
 
 use crate::chaos::{lock_recover, FailSite};
 use crate::tl2::{spin_work, NativeTl2};
@@ -392,7 +390,7 @@ impl NativeUstmStats {
 }
 
 /// A per-thread USTM transaction handle — the native mirror of
-/// [`UstmTxn`](ufotm_ustm::UstmTxn), usable step by step
+/// `ufotm_ustm::UstmTxn`, usable step by step
 /// (begin/read/write/commit) by protocol tests and the cross-validation
 /// scripts, or through the retry loop in [`NativeUstmTxn::run`] /
 /// the hybrid's slow path.

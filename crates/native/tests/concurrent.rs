@@ -6,8 +6,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ufotm_core::TmBackend;
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, TmBackend};
 use ufotm_native::{run_threads, NativeTl2};
 
 const THREADS: usize = 4;

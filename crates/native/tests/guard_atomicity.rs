@@ -11,7 +11,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use ufotm_machine::Addr;
+use ufotm_api::Addr;
 use ufotm_native::{guard, NativeHybrid, NativeHybridPolicy, NativeTl2};
 
 const X: Addr = Addr(4096); // word 512: its own page, away from page 0
@@ -160,6 +160,7 @@ fn ustm_commits_with_concurrent_plain_traffic() {
     let b = Addr(4096 + 256);
     const ROUNDS: u64 = 200;
     let stop = AtomicBool::new(false);
+    let started = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
         let plain = scope.spawn(|| {
@@ -168,9 +169,14 @@ fn ustm_commits_with_concurrent_plain_traffic() {
                 h.poke(b, n);
                 assert_eq!(h.peek(b), n, "plain word torn by a commit window");
                 n += 1;
+                started.store(true, Ordering::Release);
             }
             n
         });
+        // Start handshake: a freshly spawned thread can first run after
+        // the whole USTM loop has finished, so the commits wait for one
+        // completed poke/peek before they begin.
+        wait_until(|| started.load(Ordering::Acquire));
 
         let mut txn = ufotm_native::NativeUstmTxn::new(h.tl2(), h.ustm(), 0);
         for i in 1..=ROUNDS {

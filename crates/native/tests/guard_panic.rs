@@ -7,8 +7,7 @@
 
 use std::sync::Once;
 
-use ufotm_core::TmBackend;
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, TmBackend};
 use ufotm_native::{
     guard, run_hybrid_threads, run_hybrid_threads_collect, ChaosPlan, FailSite, InjectedPanic,
     NativeHybrid, NativeHybridPolicy,

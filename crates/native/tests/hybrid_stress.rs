@@ -7,8 +7,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use ufotm_core::TmBackend;
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, TmBackend};
 use ufotm_native::{run_hybrid_threads, HybridThread, NativeHybrid, NativeHybridPolicy};
 
 const COUNTER: Addr = Addr(512);

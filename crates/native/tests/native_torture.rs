@@ -18,8 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Once};
 use std::time::{Duration, Instant};
 
-use ufotm_core::TmBackend;
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, TmBackend};
 use ufotm_native::{
     run_hybrid_threads, run_hybrid_threads_collect, run_threads, run_threads_collect, ChaosPlan,
     FailSite, HybridThread, InjectedPanic, NativeHybrid, NativeHybridPolicy, NativeTl2,
@@ -307,11 +306,10 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
 
         // Site-specific reclamation guarantees: the victim died holding
         // exactly the state this site implies, so the matching counter
-        // must be nonzero (TmBackend-visible, like the simulator's).
-        let mut probe = HybridThread::new(&h, None, 0, THREADS);
+        // must be nonzero.
         match site {
             FailSite::Tl2LockHeld => assert!(
-                TmBackend::orphan_reclaims(&mut probe) > 0,
+                h.tl2().orphan_steals() > 0,
                 "{label}: death with stripe locks held must force a steal"
             ),
             FailSite::UstmCommit => assert!(

@@ -3,9 +3,8 @@
 //! publication, each abort class) deterministically — no real races
 //! needed.
 
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, Tl2Abort};
 use ufotm_native::{NativeTl2, NativeTxn};
-use ufotm_tl2::Tl2Abort;
 
 const X: Addr = Addr(512);
 

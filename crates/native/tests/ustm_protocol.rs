@@ -5,9 +5,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-use ufotm_machine::Addr;
+use ufotm_api::{Addr, UstmAbort};
 use ufotm_native::{NativeTl2, NativeUstm, NativeUstmTxn};
-use ufotm_ustm::UstmAbort;
 
 const X: Addr = Addr(512);
 const Y: Addr = Addr(1024);

@@ -27,6 +27,8 @@ use std::collections::BTreeMap;
 use ufotm_machine::{AccessResult, Addr, LineAddr};
 use ufotm_sim::Ctx;
 
+pub use ufotm_api::Tl2Abort;
+
 /// Unwraps machine ops issued from TL2 runtime code (plain accesses with
 /// UFO disabled cannot fault).
 fn mop<T>(r: AccessResult<T>) -> T {
@@ -44,29 +46,6 @@ impl HasTl2 for Tl2Shared {
         self
     }
 }
-
-/// Why a TL2 transaction aborted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Tl2Abort {
-    /// A read observed a locked or too-new lock word.
-    ReadValidation,
-    /// Commit could not acquire a write lock.
-    LockBusy,
-    /// Commit-time read-set validation failed.
-    CommitValidation,
-}
-
-impl std::fmt::Display for Tl2Abort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tl2Abort::ReadValidation => f.write_str("read validation failed"),
-            Tl2Abort::LockBusy => f.write_str("write lock busy at commit"),
-            Tl2Abort::CommitValidation => f.write_str("commit validation failed"),
-        }
-    }
-}
-
-impl std::error::Error for Tl2Abort {}
 
 /// One versioned write lock.
 #[derive(Clone, Copy, Debug, Default)]

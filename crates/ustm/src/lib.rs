@@ -40,6 +40,7 @@ pub use otable::{Otable, OtableEntry, OtableOccupancy, Perm};
 pub use recovery::{CpuRecovery, REDO_MAX_LINES};
 pub use retry::retry_wait;
 pub use txn::{TxnSlot, TxnStatus, UstmConfig, UstmShared, UstmStats};
+pub use ufotm_api::UstmAbort;
 
 /// Gives USTM access to its shared state inside a larger world type.
 ///
@@ -56,31 +57,3 @@ impl HasUstm for UstmShared {
         self
     }
 }
-
-/// Why a USTM operation could not proceed; the transaction must roll back.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UstmAbort {
-    /// This transaction was killed by an older conflicting transaction (the
-    /// killer's CPU is recorded so the retry can wait for it to retire).
-    Killed {
-        /// The CPU whose transaction killed us.
-        by: usize,
-    },
-    /// The transaction executed an explicit abort.
-    Explicit,
-    /// The transaction issued `retry` (transactional waiting, paper §6) and
-    /// has been woken; it restarts as if after an abort.
-    RetryWoken,
-}
-
-impl std::fmt::Display for UstmAbort {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UstmAbort::Killed { by } => write!(f, "killed by STM transaction on cpu {by}"),
-            UstmAbort::Explicit => f.write_str("explicit STM abort"),
-            UstmAbort::RetryWoken => f.write_str("woken from transactional retry"),
-        }
-    }
-}
-
-impl std::error::Error for UstmAbort {}
