@@ -9,7 +9,7 @@ use ufotm_ustm::{nont_load, TxnStatus, UstmAbort, UstmTxn};
 
 use crate::lockbase::{lock_acquire, lock_release};
 use crate::policy::HybridPolicy;
-use crate::shared::{SystemKind, TmWorld};
+use crate::shared::{SystemKind, TmShared, TmWorld};
 use crate::trace::{EscalationTier, TraceKind};
 use crate::tx::{Mode, Tx, TxAbort};
 
@@ -279,6 +279,43 @@ impl TmThread {
 
     // --- hardware attempt ------------------------------------------------
 
+    /// Transactionally subscribes the running hardware attempt to a stop
+    /// flag, `flag` giving its line and whether it is raised: loading
+    /// the line inside the attempt means a later store to it dooms the
+    /// attempt through plain coherence. Finding the flag already raised
+    /// aborts the attempt explicitly, runs `on_busy`, and returns `busy`.
+    fn subscribe<U: TmWorld>(
+        &self,
+        ctx: &mut Ctx<U>,
+        flag: fn(&TmShared) -> (Addr, bool),
+        busy: HwFail,
+        on_busy: impl FnOnce(&mut Ctx<U>),
+        what: &str,
+    ) -> Result<(), HwFail> {
+        let cpu = self.cpu;
+        loop {
+            let r = ctx.with(|w| {
+                let a = flag(w.shared.tm()).0;
+                w.machine.load(cpu, a).map(|_| flag(w.shared.tm()).1)
+            });
+            match r {
+                Ok(false) => return Ok(()),
+                Ok(true) => {
+                    ctx.btm_abort_with(AbortInfo::new(AbortReason::Explicit));
+                    on_busy(ctx);
+                    trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
+                    return Err(busy);
+                }
+                Err(AccessError::Nacked) => {}
+                Err(AccessError::TxnAbort(i)) => {
+                    trace(ctx, TraceKind::HwAbort(i.reason));
+                    return Err(HwFail::Abort(i));
+                }
+                Err(e) => panic!("{what}: {e}"),
+            }
+        }
+    }
+
     /// One hardware attempt: begin, (PhTM phase check), body, commit.
     fn hw_attempt<U: TmWorld, R>(
         &mut self,
@@ -297,59 +334,29 @@ impl TmThread {
         }
         trace(ctx, TraceKind::HwBegin);
         if phtm_check {
-            // Transactionally subscribe to the STM-phase counter: if it is
-            // non-zero now (or changes mid-flight), this transaction dies.
-            let cpu = self.cpu;
-            loop {
-                let r = ctx.with(|w| {
-                    let a = w.shared.tm().phtm.stm_addr();
-                    w.machine.load(cpu, a).map(|_| w.shared.tm().phtm.stm_count)
-                });
-                match r {
-                    Ok(0) => break,
-                    Ok(_) => {
-                        ctx.btm_abort_with(AbortInfo::new(AbortReason::Explicit));
-                        ctx.with(|w| w.shared.tm().phtm.phase_aborts += 1);
-                        trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
-                        return Err(HwFail::PhaseBusy);
-                    }
-                    Err(AccessError::Nacked) => {}
-                    Err(AccessError::TxnAbort(i)) => {
-                        trace(ctx, TraceKind::HwAbort(i.reason));
-                        return Err(HwFail::Abort(i));
-                    }
-                    Err(e) => panic!("phase check: {e}"),
-                }
-            }
+            // Subscribe to the STM-phase counter: if it is non-zero now
+            // (or changes mid-flight), this transaction dies.
+            self.subscribe(
+                ctx,
+                |t| (t.phtm.stm_addr(), t.phtm.stm_count != 0),
+                HwFail::PhaseBusy,
+                |ctx| ctx.with(|w| w.shared.tm().phtm.phase_aborts += 1),
+                "phase check",
+            )?;
         }
         if self.serial_gate_armed() {
-            // Transactionally subscribe to the serial-irrevocable flag:
-            // raising it dooms this transaction through plain coherence;
-            // finding it already raised means a serial transaction holds
-            // the system — abort and get out of its way. Without this gate
-            // a hardware commit could land between a serial transaction's
-            // read and write of the same line (a lost update).
-            let cpu = self.cpu;
-            loop {
-                let r = ctx.with(|w| {
-                    let a = w.shared.tm().serial.addr();
-                    w.machine.load(cpu, a).map(|_| w.shared.tm().serial.active)
-                });
-                match r {
-                    Ok(false) => break,
-                    Ok(true) => {
-                        ctx.btm_abort_with(AbortInfo::new(AbortReason::Explicit));
-                        trace(ctx, TraceKind::HwAbort(AbortReason::Explicit));
-                        return Err(HwFail::SerialBusy);
-                    }
-                    Err(AccessError::Nacked) => {}
-                    Err(AccessError::TxnAbort(i)) => {
-                        trace(ctx, TraceKind::HwAbort(i.reason));
-                        return Err(HwFail::Abort(i));
-                    }
-                    Err(e) => panic!("serial gate subscribe: {e}"),
-                }
-            }
+            // Subscribe to the serial-irrevocable flag: finding it raised
+            // means a serial transaction holds the system — get out of
+            // its way. Without this gate a hardware commit could land
+            // between a serial transaction's read and write of the same
+            // line (a lost update).
+            self.subscribe(
+                ctx,
+                |t| (t.serial.addr(), t.serial.active),
+                HwFail::SerialBusy,
+                |_| {},
+                "serial gate subscribe",
+            )?;
         }
         let mut tx = Tx::new(
             self.cpu,
@@ -762,49 +769,30 @@ impl TmThread {
         body: &mut impl FnMut(&mut Tx<'_>, &mut Ctx<U>) -> Result<R, TxAbort>,
         mandatory: bool,
     ) -> R {
-        let cpu = self.cpu;
-        ctx.with(|w| {
-            let (sa, ma) = {
-                let p = &w.shared.tm().phtm;
-                (p.stm_addr(), p.must_addr())
-            };
-            {
-                let p = &mut w.shared.tm().phtm;
-                p.stm_count += 1;
-            }
-            let sv = w.shared.tm().phtm.stm_count;
-            w.machine.store(cpu, sa, sv).plain("stm count store");
-            if mandatory {
-                {
-                    let p = &mut w.shared.tm().phtm;
-                    p.must_count += 1;
-                }
-                let mv = w.shared.tm().phtm.must_count;
-                w.machine.store(cpu, ma, mv).plain("must count store");
-            }
-        });
+        self.phtm_count(ctx, true, mandatory);
         let r = self.ustm_path(ctx, body);
+        self.phtm_count(ctx, false, mandatory);
+        r
+    }
+
+    /// Enters (`enter`) or leaves PhTM's software phase: steps
+    /// `stm_count`, and `must_count` too for a `mandatory` software
+    /// transaction, publishing each with a plain store.
+    fn phtm_count<U: TmWorld>(&self, ctx: &mut Ctx<U>, enter: bool, mandatory: bool) {
+        let cpu = self.cpu;
+        let step = |n: u64| if enter { n + 1 } else { n - 1 };
         ctx.with(|w| {
-            let (sa, ma) = {
-                let p = &w.shared.tm().phtm;
-                (p.stm_addr(), p.must_addr())
-            };
-            {
-                let p = &mut w.shared.tm().phtm;
-                p.stm_count -= 1;
-            }
-            let sv = w.shared.tm().phtm.stm_count;
+            let p = &mut w.shared.tm().phtm;
+            p.stm_count = step(p.stm_count);
+            let (sa, sv) = (p.stm_addr(), p.stm_count);
             w.machine.store(cpu, sa, sv).plain("stm count store");
             if mandatory {
-                {
-                    let p = &mut w.shared.tm().phtm;
-                    p.must_count -= 1;
-                }
-                let mv = w.shared.tm().phtm.must_count;
+                let p = &mut w.shared.tm().phtm;
+                p.must_count = step(p.must_count);
+                let (ma, mv) = (p.must_addr(), p.must_count);
                 w.machine.store(cpu, ma, mv).plain("must count store");
             }
         });
-        r
     }
 }
 

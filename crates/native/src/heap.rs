@@ -108,7 +108,7 @@ impl WordHeap {
 
     /// Opens a strong-atomicity window over the pages containing
     /// `word_idxs`. A no-op handle on boxed storage (the guard then
-    /// rests on the hybrid's fast-path quiescence alone). `chaos` is the
+    /// rests on the hybrid's held stripes alone). `chaos` is the
     /// committing worker's failpoint handle, struck at the
     /// `GuardWindow` site once protection is up (and, on boxed storage,
     /// struck once anyway so failpoint schedules keep their shape when

@@ -1,6 +1,6 @@
-//! The native hybrid: TL2 fast path, USTM slow path, PhTM-style mode
-//! gate, and abort-count failover — the real-thread rendition of the
-//! simulated `HybridTm` driver.
+//! The native hybrid: TL2 fast path, USTM slow path, and abort-count
+//! failover — the real-thread rendition of the simulated `HybridTm`
+//! driver.
 //!
 //! Each [`HybridThread`] runs transactions on the TL2 fast path
 //! ([`NativeTxn`]) until `failover_after` consecutive aborts, with
@@ -11,41 +11,29 @@
 //! decided by [`RetryCore`], the same Algorithm-3 core the simulated
 //! driver uses.
 //!
-//! ## The mode gate
+//! ## Isolation per stripe
 //!
-//! TL2 never consults the USTM ownership table, so a fast-path
-//! transaction racing a slow-path commit would be invisible to USTM's
-//! conflict detection. The hybrid therefore phase-gates the two paths
-//! (PhTM-style — fast transactions subscribe to a slow-mode stop word,
-//! like the simulated hardware path subscribing to the serial gate):
-//!
-//! * A fast transaction registers in `fast_inflight`, then checks
-//!   `slow_mode`; if a slow transaction is pending it deregisters and
-//!   spin-yields until the mode clears.
-//! * A slow transaction raises `slow_mode`, then waits for
-//!   `fast_inflight` to drain before running. Multiple slow
-//!   transactions run concurrently — USTM's ownership table is the
-//!   concurrency control within the slow mode.
-//!
-//! Plain accesses ([`NativeHybrid::peek`]/[`NativeHybrid::poke`], and
-//! the backend's `plain_load`/`plain_store` which route through them)
-//! register in the same inflight count as fast transactions, so the
-//! gate also closes the plain-access hole the `mprotect` guard cannot
-//! cover on unguarded (boxed/TSan/non-x86_64) heaps: with the gate
-//! drained, the only code touching USTM-written lines during a slow
-//! commit is USTM itself.
+//! Fast and slow transactions run concurrently, as in the paper's UFO
+//! hybrid, isolated per stripe by the TL2 stripe table instead of the
+//! per-line UFO bits: USTM ownership records are counted on their
+//! stripes, and a fast commit or [`NativeHybrid::poke`] into a counted
+//! stripe backs off until the slow transaction releases; a slow
+//! write-back holds its stripes and releases them with a fresh clock
+//! version, so fast reads and [`NativeHybrid::peek`] see it whole or not
+//! at all. The serial tier is one more USTM attempt at a reserved
+//! timestamp older than all others: nothing can kill or stall it.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use ufotm_api::{
     AbortClass, Addr, Decision, RetryCore, RetryPolicy, Stop, Tally, TmBackend, TxScope, UstmAbort,
 };
 
-use crate::chaos::{self, lock_recover, FailSite};
+use crate::chaos::lock_recover;
 use crate::guard::GuardStats;
-use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
+use crate::tl2::{
+    join_workers, run_workers, spin_work, NativeStats, NativeTl2, NativeTxn, WorkerOutcome,
+};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
 /// Failover/backoff policy for the native hybrid — the same knobs, with
@@ -84,27 +72,13 @@ impl Default for NativeHybridPolicy {
 }
 
 /// Shared native hybrid state: the TL2 world (which owns the word
-/// heap), the USTM ownership table, and the mode gate.
+/// heap and the stripe table) and the USTM ownership table.
 #[derive(Debug)]
 pub struct NativeHybrid {
     tl2: NativeTl2,
     ustm: NativeUstm,
-    /// Count of slow-path transactions pending or running.
-    slow_mode: AtomicU64,
-    /// Count of fast-path transactions currently executing.
-    fast_inflight: AtomicU64,
-    /// Nonzero while a serial-irrevocable transaction runs; both paths
-    /// subscribe to it (fast via the gate, slow via attempt parking).
-    serial_mode: AtomicU64,
-    /// Serializes serial-tier transactions.
+    /// Serializes serial-tier transactions (they share one timestamp).
     serial_gate: Mutex<()>,
-    /// Per-tid flag: this tid currently holds a `fast_inflight`
-    /// registration. Lets [`NativeHybrid::reap_dead`] repair the gate
-    /// when a worker dies between register and deregister.
-    fast_held: Box<[AtomicU64]>,
-    /// Per-tid flag: this tid currently holds a `slow_mode`
-    /// registration.
-    slow_held: Box<[AtomicU64]>,
     policy: NativeHybridPolicy,
 }
 
@@ -125,44 +99,24 @@ impl NativeHybrid {
         NativeHybrid {
             tl2: NativeTl2::new(heap_words, lock_entries, alloc_base_word),
             ustm: NativeUstm::new(threads, otable_bins),
-            slow_mode: AtomicU64::new(0),
-            fast_inflight: AtomicU64::new(0),
-            serial_mode: AtomicU64::new(0),
             serial_gate: Mutex::new(()),
-            fast_held: (0..threads).map(|_| AtomicU64::new(0)).collect(),
-            slow_held: (0..threads).map(|_| AtomicU64::new(0)).collect(),
             policy,
         }
     }
 
     /// Repairs everything a **dead** worker left behind in the hybrid:
-    /// its USTM leavings (helper-completing a sealed commit — done
-    /// first, while any gate registration the corpse leaked still holds
-    /// the fast path off unguarded heaps), its orphaned TL2 stripe
-    /// locks, and finally any `fast_inflight`/`slow_mode` registration
-    /// it died holding (which would otherwise wedge the gate forever).
-    /// Idempotent and safe to call from multiple survivors — the held
-    /// flags are consumed by CAS.
+    /// its USTM leavings (helper-completing a sealed commit, which also
+    /// releases the stripes it died holding, or discarding an unsealed
+    /// one) and its orphaned TL2 stripe locks. Idempotent and safe to
+    /// call from multiple survivors.
     pub fn reap_dead(&self, tid: usize) {
         self.ustm.reclaim_dead(&self.tl2, tid);
         self.tl2.sweep_orphans();
-        if self.fast_held[tid]
-            .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
-        }
-        if self.slow_held[tid]
-            .compare_exchange(1, 0, Ordering::SeqCst, Ordering::SeqCst)
-            .is_ok()
-        {
-            self.slow_mode.fetch_sub(1, Ordering::SeqCst);
-        }
     }
 
     /// Reaps every tid the liveness registry has marked dead.
     pub fn reap_all_dead(&self) {
-        for tid in 0..self.slow_held.len() {
+        for tid in 0..self.ustm.threads() {
             if self.tl2.liveness().is_dead(tid) {
                 self.reap_dead(tid);
             }
@@ -182,53 +136,17 @@ impl NativeHybrid {
         &self.ustm
     }
 
-    /// Registers a fast-path transaction *or* a plain accessor in
-    /// `fast_inflight`, quiescing while any slow-path transaction is
-    /// pending (the PhTM-style stop-word subscription). Routing plain
-    /// accesses through the same gate closes the hole the `mprotect`
-    /// guard cannot cover on unguarded (boxed/TSan/non-x86_64) heaps:
-    /// a pending slow commit drains plain accessors exactly like fast
-    /// transactions before touching the heap.
-    fn gate_enter(&self) {
-        // Delay-only failpoint (anonymous stream): widens the window in
-        // which a plain accessor sits between registering and checking.
-        let _ = self.tl2.chaos().strike_anon(FailSite::HybridGate);
-        loop {
-            self.fast_inflight.fetch_add(1, Ordering::SeqCst);
-            if self.slow_mode.load(Ordering::SeqCst) == 0
-                && self.serial_mode.load(Ordering::SeqCst) == 0
-            {
-                return;
-            }
-            self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
-            while self.slow_mode.load(Ordering::SeqCst) != 0
-                || self.serial_mode.load(Ordering::SeqCst) != 0
-            {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    fn gate_exit(&self) {
-        self.fast_inflight.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Plain (non-transactional) load, gated against slow-path commit
-    /// windows; see [`NativeTl2::peek`].
+    /// Plain (non-transactional) load that never sees a fast or slow
+    /// commit half-applied (a seqlock read of the word's stripe).
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
-        self.gate_enter();
-        let v = self.tl2.peek(addr);
-        self.gate_exit();
-        v
+        self.tl2.load_isolated(addr)
     }
 
-    /// Plain (non-transactional) store, gated against slow-path commit
-    /// windows; see [`NativeTl2::poke`].
+    /// Plain (non-transactional) store that never lands inside a slow
+    /// transaction's read or write set or inside a commit.
     pub fn poke(&self, addr: Addr, value: u64) {
-        self.gate_enter();
-        self.tl2.poke(addr, value);
-        self.gate_exit();
+        self.tl2.store_isolated(addr, value);
     }
 
     /// Host-side allocation from the shared bump allocator.
@@ -401,28 +319,13 @@ impl<'a> HybridThread<'a> {
         )
     }
 
-    /// Registers a fast-path transaction, quiescing while any slow-path
-    /// transaction is pending; see [`NativeHybrid::gate_enter`].
-    fn enter_fast(&self) {
-        self.shared.gate_enter();
-    }
-
-    fn exit_fast(&self) {
-        self.shared.gate_exit();
-    }
-
     /// One fast-path attempt; `Some(r)` on commit.
     fn try_fast<R>(
         &mut self,
         body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>,
     ) -> Option<R> {
-        // Held-flag first, then the body: if this worker dies at an
-        // injected failpoint inside the attempt, `reap_dead` can see the
-        // flag and give its gate registration back.
-        self.enter_fast();
-        self.shared.fast_held[self.tid].store(1, Ordering::SeqCst);
         self.fast.begin();
-        let committed = match body(&mut self.fast) {
+        match body(&mut self.fast) {
             Ok(r) => self.fast.commit().is_ok().then_some(r),
             Err(Stop) => {
                 if self.fast.is_active() {
@@ -430,47 +333,22 @@ impl<'a> HybridThread<'a> {
                 }
                 None
             }
-        };
-        self.shared.fast_held[self.tid].store(0, Ordering::SeqCst);
-        self.exit_fast();
-        committed
+        }
     }
 
-    /// Runs one transaction to commit on the USTM slow path: raise the
-    /// mode, drain the fast path, retry the body under USTM until it
-    /// commits, release the mode. Once the decision core says so (after
-    /// `serial_after` failed attempts), escalates to the
+    /// Runs one transaction to commit on the USTM slow path, retrying
+    /// the body under USTM until it commits; every retry keeps the first
+    /// attempt's timestamp. Once the decision core says
+    /// so (after `serial_after` failed attempts), escalates to the
     /// serial-irrevocable tier — the third watchdog tier, mirroring the
-    /// simulator's. Between attempts the slow path
-    /// parks (deregistering from the mode) while a serial transaction
-    /// runs, so the serial tier's drain always terminates.
+    /// simulator's.
     fn run_slow<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        let shared = self.shared;
-        shared.slow_held[self.tid].store(1, Ordering::SeqCst);
-        shared.slow_mode.fetch_add(1, Ordering::SeqCst);
-        while shared.fast_inflight.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
         let mut tally = Tally::default();
-        let committed = loop {
-            if shared.serial_mode.load(Ordering::SeqCst) != 0 {
-                // Park: hand the mode back so the serial tier can drain,
-                // re-register once it completes.
-                shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
-                shared.slow_held[self.tid].store(0, Ordering::SeqCst);
-                while shared.serial_mode.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
-                shared.slow_held[self.tid].store(1, Ordering::SeqCst);
-                shared.slow_mode.fetch_add(1, Ordering::SeqCst);
-                while shared.fast_inflight.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
-            }
-            self.slow.begin();
+        self.slow.begin();
+        loop {
             match body(&mut self.slow) {
                 Ok(r) => match self.slow.commit() {
-                    Ok(()) => break Some(r),
+                    Ok(()) => return r,
                     Err(UstmAbort::Killed { .. }) => self.slow.wait_for_killer(),
                     Err(_) => {}
                 },
@@ -488,85 +366,33 @@ impl<'a> HybridThread<'a> {
             }
             // Every failed attempt counts, hand-made stops included.
             if self.decide(&mut tally, AbortClass::SlowFailed) == Decision::Escalate {
-                break None;
-            }
-        };
-        shared.slow_mode.fetch_sub(1, Ordering::SeqCst);
-        shared.slow_held[self.tid].store(0, Ordering::SeqCst);
-        match committed {
-            Some(r) => r,
-            None => {
                 self.serial_escalations += 1;
-                self.run_serial(body)
+                return self.run_serial(body);
             }
+            self.slow.begin_again();
         }
     }
 
-    /// The serial-irrevocable tier: take the serial gate, raise
-    /// `serial_mode` (fast transactions and plain accessors park at the
-    /// gate; slow transactions park between attempts), reap every dead
-    /// worker, drain both paths, then execute the body **directly** on
-    /// the heap — no locks, no ownership, no aborts, and no chaos
-    /// strikes, so completion is unconditional. The native livelock of
-    /// mutual kills that wedges a two-tier hybrid completes here.
+    /// The serial-irrevocable tier: under the serial gate, one USTM
+    /// attempt that nothing can kill, stall or strike, so the native
+    /// livelock of mutual kills completes here. Counted in
+    /// `serial_commits` alone; the slow path's counters stay as they were.
     fn run_serial<R>(&mut self, body: &mut impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        let shared = self.shared;
-        let (gate, _recovered) = lock_recover(&shared.serial_gate);
-        shared.serial_mode.store(1, Ordering::SeqCst);
-        loop {
-            // Dead workers can never deregister; give their
-            // registrations back before judging the drain.
-            shared.reap_all_dead();
-            if shared.fast_inflight.load(Ordering::SeqCst) == 0
-                && shared.slow_mode.load(Ordering::SeqCst) == 0
-            {
-                break;
-            }
-            std::thread::yield_now();
-        }
-        let mut scope = SerialScope { shared };
-        let r = match body(&mut scope) {
-            Ok(r) => r,
-            Err(Stop) => {
-                // Irrevocable: direct stores are already public, so a
-                // hand-made Stop cannot roll back. Bodies that fabricate
-                // aborts are scaffolding-only and never reach the serial
-                // tier; a real workload body only fails via its scope.
-                panic!("transaction body surfaced a hand-made Stop on the serial tier")
-            }
+        let (_gate, _recovered) = lock_recover(&self.shared.serial_gate);
+        let slow_stats = self.slow.stats;
+        self.slow.begin_serial();
+        let Ok(r) = body(&mut self.slow) else {
+            // The attempt cannot be killed, so only a body that
+            // fabricates aborts gets here — scaffolding that never
+            // reaches the serial tier.
+            panic!("transaction body surfaced a hand-made Stop on the serial tier")
         };
+        self.slow
+            .commit()
+            .expect("the serial attempt can be neither killed nor struck");
+        self.slow.stats = slow_stats;
         self.serial_commits += 1;
-        shared.serial_mode.store(0, Ordering::SeqCst);
-        drop(gate);
         r
-    }
-}
-
-/// The serial tier's [`TxScope`]: direct, uninstrumented heap access.
-/// Sound because `run_serial` holds every other path parked for the
-/// whole body, and no new fast/slow transaction starts until
-/// `serial_mode` drops.
-struct SerialScope<'a> {
-    shared: &'a NativeHybrid,
-}
-
-impl TxScope for SerialScope<'_> {
-    fn read(&mut self, addr: Addr) -> Result<u64, Stop> {
-        Ok(self.shared.tl2.peek(addr))
-    }
-
-    fn write(&mut self, addr: Addr, value: u64) -> Result<(), Stop> {
-        self.shared.tl2.poke(addr, value);
-        Ok(())
-    }
-
-    fn alloc(&mut self, words: u64) -> Result<Addr, Stop> {
-        Ok(self.shared.tl2.host_alloc(words))
-    }
-
-    fn work(&mut self, cycles: u64) -> Result<(), Stop> {
-        spin_work(cycles);
-        Ok(())
     }
 }
 
@@ -579,6 +405,9 @@ impl TmBackend for HybridThread<'_> {
                 if let Some(r) = self.try_fast(&mut body) {
                     return r;
                 }
+                // The fast path yields to a slow transaction that owns a
+                // stripe it writes.
+                self.fast.wait_for_owners();
                 match self.decide(&mut tally, AbortClass::Contention) {
                     Decision::Retry { backoff } => {
                         spin_work(backoff);
@@ -645,25 +474,15 @@ impl TmBackend for HybridThread<'_> {
     }
 }
 
-/// One worker's join outcome from [`run_hybrid_threads_collect`]; see
-/// [`crate::tl2::NativeOutcome`].
-#[derive(Clone, Debug)]
-pub struct HybridOutcome<R> {
-    /// Worker tid (outcomes are returned in tid order).
-    pub tid: usize,
-    /// The worker's merged counters at join time.
-    pub stats: HybridStats,
-    /// The body's result, or the rendered panic payload.
-    pub result: Result<R, String>,
-}
+/// A hybrid worker's outcome from [`run_hybrid_threads_collect`].
+pub type HybridOutcome<R> = WorkerOutcome<HybridStats, R>;
 
 /// Runs `body` on `threads` real OS threads over `shared`, each with
 /// its own [`HybridThread`] handle and a common phase barrier, and
 /// collects **every** worker's outcome. A panicked worker is marked
 /// dead and immediately reaped (in-thread, before it exits): its USTM
-/// leavings are helper-completed or discarded, its TL2 stripe locks
-/// swept, and any gate registration it died holding is repaired, so
-/// survivors keep committing while the corpse is still warm.
+/// leavings are helper-completed or discarded and its TL2 stripe locks
+/// swept, so survivors keep committing while the corpse is still warm.
 ///
 /// Bodies that may be killed by panic injection must not use the phase
 /// barrier (a dead worker never arrives).
@@ -672,31 +491,17 @@ pub fn run_hybrid_threads_collect<R: Send>(
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> Vec<HybridOutcome<R>> {
-    assert!(threads >= 1, "at least one thread");
     let barrier = Barrier::new(threads);
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = &barrier;
-                let body = &body;
-                scope.spawn(move || {
-                    let mut th = HybridThread::new(shared, Some(barrier), tid, threads);
-                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
-                    let stats = th.stats();
-                    let result = r.map_err(|payload| {
-                        shared.tl2.liveness().mark_dead(tid);
-                        shared.reap_dead(tid);
-                        chaos::panic_message(payload.as_ref())
-                    });
-                    HybridOutcome { tid, stats, result }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("hybrid worker wrapper itself panicked"))
-            .collect::<Vec<_>>()
-    });
+    let outcomes = run_workers(
+        threads,
+        |tid| HybridThread::new(shared, Some(&barrier), tid, threads),
+        HybridThread::stats,
+        |tid| {
+            shared.tl2.liveness().mark_dead(tid);
+            shared.reap_dead(tid);
+        },
+        body,
+    );
     if outcomes.iter().any(|o| o.result.is_err()) {
         shared.reap_all_dead();
     }
@@ -717,21 +522,8 @@ pub fn run_hybrid_threads<R: Send>(
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> (HybridStats, Vec<R>) {
-    let outcomes = run_hybrid_threads_collect(shared, threads, body);
-    let mut stats = HybridStats::default();
-    let mut results = Vec::with_capacity(threads);
-    let mut deaths = Vec::new();
-    for o in outcomes {
-        stats.merge(&o.stats);
-        match o.result {
-            Ok(r) => results.push(r),
-            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
-        }
-    }
-    assert!(
-        deaths.is_empty(),
-        "hybrid worker thread(s) panicked: {}",
-        deaths.join("; ")
-    );
-    (stats, results)
+    join_workers(
+        run_hybrid_threads_collect(shared, threads, body),
+        HybridStats::merge,
+    )
 }

@@ -23,8 +23,9 @@
 //! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the failover
 //!   driver: TL2 fast path, USTM slow path after `failover_after`
 //!   consecutive aborts with jittered backoff, serial tier after
-//!   `serial_after` failed slow attempts, PhTM-style mode gate — with
-//!   every retry decision made by the shared `RetryCore`.
+//!   `serial_after` failed slow attempts — with every retry decision
+//!   made by the shared `RetryCore`. Fast and slow transactions run
+//!   concurrently, isolated per stripe.
 //!
 //! The sim and native implementations are cross-validated
 //! (`crates/stamp`'s `cross_validate` suite): the same transaction
@@ -38,8 +39,9 @@
 //! exempt this crate for exactly that reason) and not cycle-accurate
 //! ([`spin_work`] is a calibrated busy-loop, not a cycle model). Unlike
 //! the weakly-atomic TL2-only backend, the hybrid *is* strongly atomic
-//! for its slow path: the guard window defers racing plain accesses,
-//! and the mode gate quiesces the uninstrumented fast path.
+//! for its slow path: the stripe table keeps plain accesses and fast
+//! commits out of a slow transaction's lines, and the guard window
+//! defers plain accesses racing a write-back on the same page.
 //!
 //! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must
@@ -66,6 +68,6 @@ pub use hybrid::{
 };
 pub use tl2::{
     run_threads, run_threads_collect, spin_work, DebugWindow, NativeOutcome, NativeStats,
-    NativeThread, NativeTl2, NativeTxn,
+    NativeThread, NativeTl2, NativeTxn, WorkerOutcome,
 };
 pub use ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};

@@ -33,6 +33,11 @@
 //! (see [`crate::chaos::FailSite::panic_safe`]); the orphaned stripe
 //! still holds pre-transaction data, and restamping it with a fresh
 //! clock version merely invalidates concurrent readers.
+//!
+//! The stripes are also the hybrid's stand-in for the paper's UFO bits
+//! (see [`crate::hybrid`]): each carries a count of the USTM ownership
+//! records on its lines (`owners`), and a commit that has locked a
+//! stripe whose count is set rolls back as [`Tl2Abort::LockBusy`].
 
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -55,6 +60,15 @@ const STRIPE_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// machine's 64-byte lines.
 const LINE_BYTES: u64 = 64;
 
+/// A lock word no reclaimer steals (epoch 0: [`Liveness::revive`] starts
+/// at 1); a sealed USTM write-back holds its stripes with it.
+pub(crate) fn pinned_word(tid: usize) -> u64 {
+    (tid as u64) << 1 | 1
+}
+
+/// The lock word a plain store holds its stripe with (no pinned word).
+const PLAIN_WORD: u64 = u64::MAX;
+
 /// Burns roughly `cycles` iterations of a pause-hinted busy loop — the
 /// native stand-in for the simulator's cycle-charged `work`.
 pub fn spin_work(cycles: u64) {
@@ -72,6 +86,8 @@ pub struct NativeTl2 {
     heap: WordHeap,
     heap_words: u64,
     locks: Box<[AtomicU64]>,
+    /// Per-stripe count of USTM ownership records (read or write).
+    owners: Box<[AtomicU64]>,
     clock: AtomicU64,
     next_free: AtomicU64,
     mask: u64,
@@ -109,6 +125,7 @@ impl NativeTl2 {
             heap: WordHeap::new(heap_words),
             heap_words,
             locks: (0..lock_entries).map(|_| AtomicU64::new(0)).collect(),
+            owners: (0..lock_entries).map(|_| AtomicU64::new(0)).collect(),
             clock: AtomicU64::new(0),
             next_free: AtomicU64::new(alloc_base_word),
             mask: lock_entries - 1,
@@ -141,7 +158,8 @@ impl NativeTl2 {
     /// Attempts to steal stripe `s`, whose lock word was observed as
     /// `observed` (held). Succeeds only when the stamped owner is marked
     /// dead **and** the stamped epoch matches the owner's current epoch
-    /// (so a revived tid's live locks are never stolen). The stripe is
+    /// (so a revived tid's live locks are never stolen, nor a
+    /// [`pinned_word`]). The stripe is
     /// restamped with a freshly bumped clock version, invalidating any
     /// reader that sampled the orphaned word.
     fn try_reclaim(&self, s: usize, observed: u64) -> bool {
@@ -192,29 +210,130 @@ impl NativeTl2 {
         w
     }
 
-    fn stripe_of(&self, addr: Addr) -> usize {
-        let line = addr.0 / LINE_BYTES;
+    pub(crate) fn stripe_of(&self, addr: Addr) -> usize {
+        self.line_stripe(addr.0 / LINE_BYTES)
+    }
+
+    pub(crate) fn line_stripe(&self, line: u64) -> usize {
         ((line.wrapping_mul(STRIPE_MULT) >> 33) & self.mask) as usize
     }
 
-    /// Plain (non-transactional) load, for setup and verification phases.
-    ///
-    /// Goes through the *public* heap view: if a USTM commit window is
-    /// open over the page, this access faults into the guard handler and
-    /// completes after the window — the native rendition of the paper's
-    /// strong atomicity for plain reads.
+    /// Counts a USTM ownership record on `line`'s stripe.
+    pub(crate) fn own_line(&self, line: u64) {
+        self.owners[self.line_stripe(line)].fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Uncounts `n` USTM ownership records on `line`'s stripe.
+    pub(crate) fn disown_line(&self, line: u64, n: u64) {
+        self.owners[self.line_stripe(line)].fetch_sub(n, Ordering::SeqCst);
+    }
+
+    /// Waits until stripe `s` is free and returns its word. A lock
+    /// orphaned by a dead TL2 owner is stolen; each round the stripe
+    /// stays held by a [`pinned_word`], `blocked` is told its tid (a
+    /// sealed write-back whose committer may have died).
+    pub(crate) fn wait_stripe(&self, s: usize, mut blocked: impl FnMut(usize)) -> u64 {
+        loop {
+            let w = self.locks[s].load(Ordering::SeqCst);
+            if w & 1 == 0 {
+                return w;
+            }
+            if !self.try_reclaim(s, w) {
+                if w >> 9 == 0 {
+                    blocked(((w >> 1) & 0xFF) as usize);
+                }
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Takes stripe `s` as `word` once free; returns the word it displaced.
+    pub(crate) fn hold_stripe(&self, s: usize, word: u64, mut blocked: impl FnMut(usize)) -> u64 {
+        loop {
+            let cur = self.wait_stripe(s, &mut blocked);
+            if self.locks[s]
+                .compare_exchange(cur, word, Ordering::SeqCst, Ordering::Relaxed)
+                .is_ok()
+            {
+                return cur;
+            }
+        }
+    }
+
+    /// Stripe `s`'s current lock word.
+    pub(crate) fn stripe_word(&self, s: usize) -> u64 {
+        self.locks[s].load(Ordering::SeqCst)
+    }
+
+    /// Releases held stripes stamped with a freshly bumped clock
+    /// version, as a commit does.
+    pub(crate) fn release_bumped(&self, stripes: &[usize]) {
+        let wv = self.clock.fetch_add(1, Ordering::AcqRel) + 1;
+        for &s in stripes {
+            self.locks[s].store(wv << 1, Ordering::Release);
+        }
+    }
+
+    /// Raw plain (non-transactional) load, for setup and verification
+    /// phases and the TL2-only backend; only a guard window over the
+    /// page defers it. [`crate::NativeHybrid::peek`] is the isolated one.
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.heap.load(self.word_index(addr))
     }
 
-    /// Plain (non-transactional) store. Racing a live *fast-path*
-    /// transaction with `poke` has the usual weakly-atomic TL2
-    /// semantics; against the USTM slow path it is guarded (faults
-    /// during commit windows and lands after, never torn into the redo
-    /// write-back).
+    /// Raw plain (non-transactional) store; see [`NativeTl2::peek`].
     pub fn poke(&self, addr: Addr, value: u64) {
         self.heap.store(self.word_index(addr), value);
+    }
+
+    /// Plain load as a seqlock read of the word's stripe: it waits while
+    /// a commit holds the stripe and retries if the stripe word changed
+    /// across the load, so it never sees a commit half-applied.
+    pub(crate) fn load_isolated(&self, addr: Addr) -> u64 {
+        let (w, s) = (self.word_index(addr), self.stripe_of(addr));
+        loop {
+            let pre = self.wait_stripe(s, |_| ());
+            let value = self.heap.load(w);
+            if self.locks[s].load(Ordering::Acquire) == pre {
+                return value;
+            }
+        }
+    }
+
+    /// Plain store that holds the word's stripe while no USTM ownership
+    /// is counted on it, then releases it with the displaced version (no
+    /// clock bump: against fast transactions it stays weakly atomic).
+    pub(crate) fn store_isolated(&self, addr: Addr, value: u64) {
+        let (w, s) = (self.word_index(addr), self.stripe_of(addr));
+        loop {
+            let displaced = self.hold_stripe(s, PLAIN_WORD, |_| ());
+            if self.owners[s].load(Ordering::SeqCst) == 0 {
+                self.heap.store(w, value);
+                self.locks[s].store(displaced, Ordering::Release);
+                return;
+            }
+            self.locks[s].store(displaced, Ordering::Release);
+            while self.owners[s].load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
+        }
+    }
+
+    /// Quiescence audit of the stripe table: no stripe held and no USTM
+    /// ownership recorded.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first held stripe or nonzero owner count.
+    pub fn audit_stripes(&self) -> Result<(), String> {
+        for (s, (lock, owners)) in self.locks.iter().zip(self.owners.iter()).enumerate() {
+            let (w, n) = (lock.load(Ordering::SeqCst), owners.load(Ordering::SeqCst));
+            if w & 1 == 1 || n != 0 {
+                return Err(format!("stripe {s}: lock {w:#x}, owners {n}"));
+            }
+        }
+        Ok(())
     }
 
     /// The global version clock's current value.
@@ -250,7 +369,7 @@ impl NativeTl2 {
     #[doc(hidden)]
     pub fn debug_lock_stripe(&self, addr: Addr, owner: usize) -> u64 {
         let s = self.stripe_of(addr);
-        self.locks[s].swap((owner as u64) << 1 | 1, Ordering::AcqRel)
+        self.locks[s].swap(pinned_word(owner), Ordering::AcqRel)
     }
 
     /// Test scaffolding: undoes [`NativeTl2::debug_lock_stripe`].
@@ -371,6 +490,8 @@ pub struct NativeTxn<'a> {
     reads: Vec<usize>,
     writes: BTreeMap<u64, u64>,
     active: bool,
+    /// The stripe whose USTM owners made the last commit back off.
+    owned_conflict: Option<usize>,
     /// Event counters for this handle.
     pub stats: NativeStats,
 }
@@ -395,7 +516,18 @@ impl<'a> NativeTxn<'a> {
             reads: Vec::new(),
             writes: BTreeMap::new(),
             active: false,
+            owned_conflict: None,
             stats: NativeStats::default(),
+        }
+    }
+
+    /// After a commit that backed off from a USTM owner, waits until the
+    /// owners have released that stripe rather than retrying against them.
+    pub(crate) fn wait_for_owners(&mut self) {
+        if let Some(s) = self.owned_conflict.take() {
+            while self.shared.owners[s].load(Ordering::SeqCst) != 0 {
+                std::thread::yield_now();
+            }
         }
     }
 
@@ -503,8 +635,9 @@ impl<'a> NativeTxn<'a> {
     ///
     /// # Errors
     ///
-    /// [`Tl2Abort::LockBusy`] or [`Tl2Abort::CommitValidation`]; the
-    /// attempt is already rolled back (locks released, buffers dropped).
+    /// [`Tl2Abort::LockBusy`] (a write stripe held, or owned by USTM) or
+    /// [`Tl2Abort::CommitValidation`]; the attempt is already rolled back
+    /// (locks released, buffers dropped).
     pub fn commit(&mut self) -> Result<(), Tl2Abort> {
         debug_assert!(self.active);
         if self.writes.is_empty() {
@@ -534,14 +667,19 @@ impl<'a> NativeTxn<'a> {
             }
             let acquired = cur & 1 == 0
                 && self.shared.locks[s]
-                    .compare_exchange(cur, mine, Ordering::Acquire, Ordering::Relaxed)
+                    .compare_exchange(cur, mine, Ordering::SeqCst, Ordering::Relaxed)
                     .is_ok();
-            if !acquired {
+            if acquired {
+                held.push((s, cur));
+            }
+            // A USTM owner of a written stripe wins (`SeqCst` after the
+            // lock CAS: USTM raises the count, then waits out our lock).
+            if !acquired || self.shared.owners[s].load(Ordering::SeqCst) != 0 {
+                self.owned_conflict = acquired.then_some(s);
                 self.rollback_locks(&held);
                 self.fail(Tl2Abort::LockBusy);
                 return Err(Tl2Abort::LockBusy);
             }
-            held.push((s, cur));
         }
         // Locks held, nothing published yet: a panic injected here
         // orphans the stripes, and a steal is still sound.
@@ -718,17 +856,78 @@ impl TmBackend for NativeThread<'_> {
     }
 }
 
-/// One worker's join outcome from [`run_threads_collect`]: its per-thread
-/// counters survive even when the body panicked, so torture tests can
-/// assert that the *surviving* threads still committed.
+/// One worker's join outcome from a collecting runner: its counters `S`
+/// survive even when the body panicked, so torture tests can assert
+/// that the *surviving* threads still committed.
 #[derive(Clone, Debug)]
-pub struct NativeOutcome<R> {
+pub struct WorkerOutcome<S, R> {
     /// Worker tid (outcomes are returned in tid order).
     pub tid: usize,
     /// The worker's event counters at join time.
-    pub stats: NativeStats,
+    pub stats: S,
     /// The body's result, or the rendered panic payload.
     pub result: Result<R, String>,
+}
+
+/// A TL2 worker's outcome from [`run_threads_collect`].
+pub type NativeOutcome<R> = WorkerOutcome<NativeStats, R>;
+
+/// Runs `body` on `threads` OS threads over handles from `make(tid)` and
+/// collects every outcome; a worker whose body panics is handed to `bury`
+/// in-thread, before it exits, so survivors can reclaim its leavings.
+pub(crate) fn run_workers<H, S: Send, R: Send>(
+    threads: usize,
+    make: impl Fn(usize) -> H + Sync,
+    stats: impl Fn(&H) -> S + Sync,
+    bury: impl Fn(usize) + Sync,
+    body: impl Fn(&mut H) -> R + Sync,
+) -> Vec<WorkerOutcome<S, R>> {
+    assert!(threads >= 1, "at least one thread");
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|tid| {
+                let (make, stats, bury, body) = (&make, &stats, &bury, &body);
+                scope.spawn(move || {
+                    let mut th = make(tid);
+                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
+                    let stats = stats(&th);
+                    let result = r.map_err(|payload| {
+                        bury(tid);
+                        chaos::panic_message(payload.as_ref())
+                    });
+                    WorkerOutcome { tid, stats, result }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker wrapper itself panicked"))
+            .collect()
+    })
+}
+
+/// Sums collected outcomes' stats and returns the results in tid order,
+/// panicking with every dead tid's payload and counters if any died.
+pub(crate) fn join_workers<S: Default + std::fmt::Debug, R>(
+    outcomes: Vec<WorkerOutcome<S, R>>,
+    merge: impl Fn(&mut S, &S),
+) -> (S, Vec<R>) {
+    let mut stats = S::default();
+    let mut results = Vec::with_capacity(outcomes.len());
+    let mut deaths = Vec::new();
+    for o in outcomes {
+        merge(&mut stats, &o.stats);
+        match o.result {
+            Ok(r) => results.push(r),
+            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
+        }
+    }
+    assert!(
+        deaths.is_empty(),
+        "worker thread(s) panicked: {}",
+        deaths.join("; ")
+    );
+    (stats, results)
 }
 
 /// Runs `body` on `threads` real OS threads over `shared`, each with its
@@ -749,30 +948,14 @@ pub fn run_threads_collect<R: Send>(
     threads: usize,
     body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
 ) -> Vec<NativeOutcome<R>> {
-    assert!(threads >= 1, "at least one thread");
     let barrier = Barrier::new(threads);
-    let outcomes = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let barrier = &barrier;
-                let body = &body;
-                scope.spawn(move || {
-                    let mut th = NativeThread::new(shared, barrier, tid, threads);
-                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
-                    let stats = th.stats();
-                    let result = r.map_err(|payload| {
-                        shared.liveness.mark_dead(tid);
-                        chaos::panic_message(payload.as_ref())
-                    });
-                    NativeOutcome { tid, stats, result }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("native worker wrapper itself panicked"))
-            .collect::<Vec<_>>()
-    });
+    let outcomes = run_workers(
+        threads,
+        |tid| NativeThread::new(shared, &barrier, tid, threads),
+        NativeThread::stats,
+        |tid| shared.liveness.mark_dead(tid),
+        body,
+    );
     if outcomes.iter().any(|o| o.result.is_err()) {
         shared.sweep_orphans();
     }
@@ -793,21 +976,8 @@ pub fn run_threads<R: Send>(
     threads: usize,
     body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
 ) -> (NativeStats, Vec<R>) {
-    let outcomes = run_threads_collect(shared, threads, body);
-    let mut stats = NativeStats::default();
-    let mut results = Vec::with_capacity(threads);
-    let mut deaths = Vec::new();
-    for o in outcomes {
-        stats.merge(&o.stats);
-        match o.result {
-            Ok(r) => results.push(r),
-            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
-        }
-    }
-    assert!(
-        deaths.is_empty(),
-        "native worker thread(s) panicked: {}",
-        deaths.join("; ")
-    );
-    (stats, results)
+    join_workers(
+        run_threads_collect(shared, threads, body),
+        NativeStats::merge,
+    )
 }

@@ -18,7 +18,8 @@
 //!   ownership is still eager (acquired at first read of a line), which
 //!   keeps conflict detection eager like the paper's USTM.
 //! * **Conflict resolution** — age-ordered, like the simulator: each
-//!   transaction draws a monotonically increasing timestamp at begin; an
+//!   transaction draws a monotonically increasing timestamp at begin
+//!   (the hybrid's slow path keeps it across retries); an
 //!   older transaction **kills** a younger conflictor (and waits for it
 //!   to unwind and release ownership), a younger transaction **stalls**
 //!   behind an older one. Stalling only ever waits on strictly older
@@ -33,10 +34,13 @@
 //!   sorted line order (kill younger owners, stall behind older ones),
 //!   *seal* the status slot (`ACTIVE → COMMITTING`; a sealed transaction
 //!   can no longer be killed, mirroring the simulator's committing
-//!   transactions stalling their attackers), open the strong-atomicity
+//!   transactions stalling their attackers), then `write_back`:
+//!   hold the TL2 stripes of the write set, open the strong-atomicity
 //!   guard window ([`crate::guard`]), write the redo log back through
 //!   the shadow view with `Release` stores, close the window, release
-//!   ownership, retire the slot.
+//!   the stripes with a fresh clock version; finally release ownership
+//!   (and the owner counts it raised on the stripes, see [`NativeTl2`])
+//!   and retire the slot.
 //!
 //! USTM's own heap reads go through the **shadow** view: a reader holds
 //! read ownership of every line it has read, so no committer can be
@@ -49,8 +53,8 @@ use std::sync::{Mutex, MutexGuard};
 
 use ufotm_api::{Addr, Stop, TxScope, UstmAbort};
 
-use crate::chaos::{lock_recover, FailSite};
-use crate::tl2::{spin_work, NativeTl2};
+use crate::chaos::{lock_recover, FailSite, NativeChaos};
+use crate::tl2::{pinned_word, spin_work, NativeTl2};
 
 /// Same Fibonacci hash as the simulated otable (`Otable::index_of`), so
 /// a given line chains into the "same" bin in both worlds.
@@ -65,6 +69,9 @@ const PHASE_COMMITTING: u64 = 2;
 /// A helper won the race to reclaim a dead owner's slot and is completing
 /// (or discarding) its work; everyone else waits for the slot to retire.
 const PHASE_REAPING: u64 = 3;
+
+/// The serial tier's timestamp, older than every drawn one (from 1).
+const SERIAL_TS: u64 = 0;
 
 /// Packs a status slot: `[ts:40 | killer+1:16 | phase:8]`. `killer+1`
 /// so that 0 means "not killed" and thread id 0 can still kill.
@@ -150,23 +157,31 @@ impl NativeUstm {
         (line.wrapping_mul(BIN_MULT) >> 32 & self.mask) as usize
     }
 
-    /// Locks a bin by index, recovering from poison instead of cascading
-    /// the panic across every thread that touches the bin afterwards. A
-    /// bin is only poisoned by a worker that panicked *while holding it*
-    /// (possible only at an injected failpoint or a genuine bug outside
-    /// the protocol's own critical sections — they contain no panics);
-    /// the chain itself is still structurally sound ([`Self::audit`]),
-    /// so recovery is safe and the event is just counted.
-    fn lock_bin_idx(&self, idx: usize) -> MutexGuard<'_, Vec<OtEntry>> {
-        let (g, recovered) = lock_recover(&self.bins[idx]);
+    /// Locks a bin or a redo record, recovering from poison instead of
+    /// cascading the panic to every later user. Only a worker that
+    /// panicked *while holding it* poisons it (at an injected failpoint
+    /// or a bug outside the protocol's panic-free critical sections); a
+    /// bin chain is still sound ([`Self::audit`]), so the event is just
+    /// counted.
+    fn lock_counted<'m, T>(&self, m: &'m Mutex<T>) -> MutexGuard<'m, T> {
+        let (g, recovered) = lock_recover(m);
         if recovered {
             self.poison_recovered.fetch_add(1, Ordering::Relaxed);
         }
         g
     }
 
+    fn lock_bin_idx(&self, idx: usize) -> MutexGuard<'_, Vec<OtEntry>> {
+        self.lock_counted(&self.bins[idx])
+    }
+
     fn lock_bin(&self, line: u64) -> MutexGuard<'_, Vec<OtEntry>> {
         self.lock_bin_idx(self.bin_index(line))
+    }
+
+    /// Status slots, one per thread handle.
+    pub(crate) fn threads(&self) -> usize {
+        self.slots.len()
     }
 
     /// Entries currently in the table (all bins) — test observability.
@@ -225,25 +240,84 @@ impl NativeUstm {
     }
 
     /// Removes every ownership record held by `victim` across all bins,
-    /// garbage-collecting emptied entries.
-    fn sweep_owner(&self, victim: usize) {
+    /// dropping their stripe owner counts and garbage-collecting emptied
+    /// entries.
+    fn sweep_owner(&self, heap: &NativeTl2, victim: usize) {
         for i in 0..self.bins.len() {
             let mut bin = self.lock_bin_idx(i);
             for e in bin.iter_mut() {
+                let readers = e.readers.len();
                 e.readers.retain(|&(t, _)| t != victim);
+                let mut dropped = (readers - e.readers.len()) as u64;
                 if matches!(e.writer, Some((t, _)) if t == victim) {
                     e.writer = None;
+                    dropped += 1;
                 }
+                heap.disown_line(e.line, dropped);
             }
             bin.retain(|e| e.writer.is_some() || !e.readers.is_empty());
         }
     }
 
+    /// Publishes `tid`'s sealed redo `record`: holds its stripes (sorted,
+    /// so write-backs cannot deadlock), stores it through the shadow view
+    /// in a guard window, and releases the stripes with a fresh clock
+    /// version, so TL2 readers validate against it as against a fast
+    /// commit. A helper completing a dead committer adopts the stripes
+    /// the corpse holds. `chaos` is the live committer's failpoint handle.
+    fn write_back(
+        &self,
+        heap: &NativeTl2,
+        tid: usize,
+        record: impl Iterator<Item = (u64, u64)> + Clone,
+        chaos: Option<(&NativeChaos, usize)>,
+    ) {
+        let pinned = pinned_word(tid);
+        let mut stripes: Vec<usize> = record
+            .clone()
+            .map(|(a, _)| heap.stripe_of(Addr(a)))
+            .collect();
+        stripes.sort_unstable();
+        stripes.dedup();
+        for &s in &stripes {
+            if heap.stripe_word(s) != pinned {
+                heap.hold_stripe(s, pinned, |holder| self.reclaim_if_dead(heap, holder));
+            }
+        }
+        {
+            let _win = heap
+                .heap()
+                .open_window(record.clone().map(|(a, _)| (a / 8) as usize), chaos);
+            // Sealed, stripes held, window up, nothing written: a delay
+            // stalls the committer here (the race the plain-access tests
+            // drive); a panic leaves a sealed record for helper-completion
+            // and the window guard restores protection on the way out.
+            if let Some((c, t)) = chaos {
+                let _ = c.strike(t, FailSite::UstmSealed);
+            }
+            for (a, v) in record {
+                heap.heap()
+                    .shadow_word((a / 8) as usize)
+                    .store(v, Ordering::Release);
+            }
+        }
+        heap.release_bumped(&stripes);
+    }
+
+    /// Reclaims `tid`'s leavings if it is dead, so a waiter blocked
+    /// behind it makes progress instead of spinning on a ghost.
+    fn reclaim_if_dead(&self, heap: &NativeTl2, tid: usize) {
+        if heap.liveness().is_dead(tid) {
+            self.reclaim_dead(heap, tid);
+        }
+    }
+
     /// Reclaims everything a **dead** worker left behind: a sealed
     /// (`COMMITTING`) transaction is *helper-completed* — its published
-    /// redo record is replayed through a fresh guard window (idempotent:
+    /// redo record is replayed by the committer's own write-back (idempotent:
     /// the full record is replayed even if the dead committer had
-    /// already stored some of it) — while an unsealed (`ACTIVE`) one is
+    /// already stored some of it, and the stripes it died holding are
+    /// released) — while an unsealed (`ACTIVE`) one is
     /// simply discarded; in both cases its ownership records are swept
     /// and its status slot retired.
     ///
@@ -272,24 +346,9 @@ impl NativeUstm {
                     {
                         continue;
                     }
-                    let record: Vec<(u64, u64)> = {
-                        let (rec, recovered) = lock_recover(&self.records[victim]);
-                        if recovered {
-                            self.poison_recovered.fetch_add(1, Ordering::Relaxed);
-                        }
-                        rec.clone()
-                    };
-                    {
-                        let _win = heap
-                            .heap()
-                            .open_window(record.iter().map(|&(a, _)| (a / 8) as usize), None);
-                        for &(a, v) in &record {
-                            heap.heap()
-                                .shadow_word((a / 8) as usize)
-                                .store(v, Ordering::Release);
-                        }
-                    }
-                    self.sweep_owner(victim);
+                    let record = self.lock_counted(&self.records[victim]).clone();
+                    self.write_back(heap, victim, record.into_iter(), None);
+                    self.sweep_owner(heap, victim);
                     self.slots[victim].store(0, Ordering::SeqCst);
                     self.helper_completions.fetch_add(1, Ordering::Relaxed);
                     return;
@@ -306,7 +365,7 @@ impl NativeUstm {
                     {
                         continue;
                     }
-                    self.sweep_owner(victim);
+                    self.sweep_owner(heap, victim);
                     self.slots[victim].store(0, Ordering::SeqCst);
                     self.orphan_releases.fetch_add(1, Ordering::Relaxed);
                     return;
@@ -322,7 +381,7 @@ impl NativeUstm {
                     // INACTIVE: the victim died between transactions.
                     // Sweep anyway — idempotent, and it catches any
                     // leftovers from exotic unwind paths.
-                    self.sweep_owner(victim);
+                    self.sweep_owner(heap, victim);
                     return;
                 }
             }
@@ -458,9 +517,27 @@ impl<'a> NativeUstmTxn<'a> {
     ///
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
+        self.begin_at(self.ustm.next_ts.fetch_add(1, Ordering::SeqCst) + 1);
+    }
+
+    /// Begins the next attempt of the transaction the last
+    /// [`NativeUstmTxn::begin`] started, keeping its timestamp: a
+    /// transaction killed by older ones ages instead of restarting as
+    /// the youngest, so it soon wins its conflicts instead of starving.
+    pub(crate) fn begin_again(&mut self) {
+        self.begin_at(self.ts);
+    }
+
+    /// Begins the serial tier's attempt at the reserved oldest timestamp,
+    /// taking no chaos strikes. Callers run one serial attempt at a time.
+    pub(crate) fn begin_serial(&mut self) {
+        self.begin_at(SERIAL_TS);
+    }
+
+    fn begin_at(&mut self, ts: u64) {
         assert!(!self.active, "nested native transactions are not supported");
         self.heap.liveness().beat(self.tid);
-        self.ts = self.ustm.next_ts.fetch_add(1, Ordering::SeqCst) + 1;
+        self.ts = ts;
         self.my_slot()
             .store(pack(self.ts, 0, PHASE_ACTIVE), Ordering::SeqCst);
         self.reads.clear();
@@ -471,18 +548,27 @@ impl<'a> NativeUstmTxn<'a> {
         self.stats.begins += 1;
     }
 
+    /// Hits failpoint `site`, except on the serial tier.
+    fn strike(&self, site: FailSite) -> bool {
+        self.ts != SERIAL_TS && self.heap.chaos().strike(self.tid, site)
+    }
+
     /// If an older transaction has killed this one, who.
     fn doomed(&self) -> Option<usize> {
         slot_killer(self.my_slot().load(Ordering::SeqCst))
     }
 
     /// Releases every ownership record this transaction holds (one bin
-    /// lock at a time), garbage-collecting empty entries.
+    /// lock at a time) with its stripe owner count, garbage-collecting
+    /// empty entries.
     fn release_ownership(&mut self) {
         for &line in &self.reads {
             let mut bin = self.ustm.lock_bin(line);
             if let Some(pos) = bin.iter().position(|e| e.line == line) {
+                let readers = bin[pos].readers.len();
                 bin[pos].readers.retain(|&(t, _)| t != self.tid);
+                self.heap
+                    .disown_line(line, (readers - bin[pos].readers.len()) as u64);
                 if bin[pos].readers.is_empty() && bin[pos].writer.is_none() {
                     bin.swap_remove(pos);
                 }
@@ -493,6 +579,7 @@ impl<'a> NativeUstmTxn<'a> {
             if let Some(pos) = bin.iter().position(|e| e.line == line) {
                 if matches!(bin[pos].writer, Some((t, _)) if t == self.tid) {
                     bin[pos].writer = None;
+                    self.heap.disown_line(line, 1);
                 }
                 if bin[pos].readers.is_empty() && bin[pos].writer.is_none() {
                     bin.swap_remove(pos);
@@ -561,18 +648,8 @@ impl<'a> NativeUstmTxn<'a> {
         std::thread::yield_now();
     }
 
-    /// If the owner this transaction is stalled behind has died, reclaim
-    /// its leavings (helper-complete a sealed record, discard an
-    /// unsealed one) so the stall loop can make progress instead of
-    /// spinning on a ghost forever.
-    fn unblock_if_dead(&self, blocker: usize) {
-        if self.heap.liveness().is_dead(blocker) {
-            self.ustm.reclaim_dead(self.heap, blocker);
-        }
-    }
-
-    /// Acquires read ownership of `line`. Never holds the bin lock
-    /// while waiting.
+    /// Acquires read ownership of `line`, raising its stripe's owner
+    /// count with the record. Never holds the bin lock while waiting.
     fn acquire_read(&mut self, line: u64) -> Result<(), UstmAbort> {
         loop {
             if let Some(by) = self.doomed() {
@@ -594,6 +671,7 @@ impl<'a> NativeUstmTxn<'a> {
                         } else {
                             if !e.readers.iter().any(|&(t, _)| t == self.tid) {
                                 e.readers.push((self.tid, self.ts));
+                                self.heap.own_line(line);
                             }
                             return Ok(());
                         }
@@ -604,17 +682,19 @@ impl<'a> NativeUstmTxn<'a> {
                             writer: None,
                             readers: vec![(self.tid, self.ts)],
                         });
+                        self.heap.own_line(line);
                         return Ok(());
                     }
                 }
             }
-            self.unblock_if_dead(blocker);
+            self.ustm.reclaim_if_dead(self.heap, blocker);
             self.stall();
         }
     }
 
-    /// Acquires write ownership of `line` (commit path). Kills younger
-    /// conflicting owners, stalls behind older ones.
+    /// Acquires write ownership of `line` (commit path), raising its
+    /// stripe's owner count. Kills younger conflicting owners, stalls
+    /// behind older ones.
     fn acquire_write(&mut self, line: u64) -> Result<(), UstmAbort> {
         loop {
             if let Some(by) = self.doomed() {
@@ -647,17 +727,19 @@ impl<'a> NativeUstmTxn<'a> {
                     blocker = rtid;
                 } else {
                     e.writer = Some((self.tid, self.ts));
+                    self.heap.own_line(line);
                     self.write_owned.push(line);
                     return Ok(());
                 }
             }
-            self.unblock_if_dead(blocker);
+            self.ustm.reclaim_if_dead(self.heap, blocker);
             self.stall();
         }
     }
 
     /// Transactional read: redo log first, then eager read-ownership
-    /// acquisition and a shadow-view load.
+    /// acquisition and a shadow-view load, after waiting out any holder
+    /// of the line's stripe on its first read.
     ///
     /// # Errors
     ///
@@ -665,7 +747,7 @@ impl<'a> NativeUstmTxn<'a> {
     /// the transaction has already been rolled back.
     pub fn read(&mut self, addr: Addr) -> Result<u64, UstmAbort> {
         debug_assert!(self.active);
-        if self.heap.chaos().strike(self.tid, FailSite::UstmRead) {
+        if self.strike(FailSite::UstmRead) {
             return Err(self.abort_explicit());
         }
         if let Some(by) = self.doomed() {
@@ -679,6 +761,8 @@ impl<'a> NativeUstmTxn<'a> {
         if !self.reads.contains(&line) {
             self.acquire_read(line)?;
             self.reads.push(line);
+            let (heap, ustm) = (self.heap, self.ustm);
+            heap.wait_stripe(heap.line_stripe(line), |h| ustm.reclaim_if_dead(heap, h));
         }
         Ok(self.heap.heap().shadow_word(w).load(Ordering::Acquire))
     }
@@ -730,8 +814,8 @@ impl<'a> NativeUstmTxn<'a> {
         Ok(())
     }
 
-    /// Commits: sorted-order write acquisition → seal → guard window →
-    /// shadow write-back → release → retire.
+    /// Commits: sorted-order write acquisition → seal → write-back
+    /// (stripes held, guard window, shadow stores) → release → retire.
     ///
     /// # Errors
     ///
@@ -751,7 +835,7 @@ impl<'a> NativeUstmTxn<'a> {
         }
         // Ownerships held, not yet sealed: a forced abort (or injected
         // panic) here still unwinds as a plain ACTIVE rollback.
-        if self.heap.chaos().strike(self.tid, FailSite::UstmCommit) {
+        if self.strike(FailSite::UstmCommit) {
             return Err(self.abort_explicit());
         }
         if !self.writes.is_empty() {
@@ -760,10 +844,7 @@ impl<'a> NativeUstmTxn<'a> {
             // if it dies a helper must be able to finish the write-back
             // from this record alone.
             {
-                let (mut rec, recovered) = lock_recover(&self.ustm.records[self.tid]);
-                if recovered {
-                    self.ustm.poison_recovered.fetch_add(1, Ordering::Relaxed);
-                }
+                let mut rec = self.ustm.lock_counted(&self.ustm.records[self.tid]);
                 rec.clear();
                 rec.extend(self.writes.iter().map(|(&a, &v)| (a, v)));
             }
@@ -784,30 +865,15 @@ impl<'a> NativeUstmTxn<'a> {
                     .expect("seal failed without a recorded killer");
                 return Err(self.unwind_killed(by));
             }
-            // Phase 3: strong-atomicity window + redo write-back through
-            // the shadow view. Plain accesses to these pages fault and
-            // re-execute after the window; USTM readers are excluded by
-            // ownership; the TL2 fast path is quiesced by the hybrid's
-            // mode gate.
-            {
-                let _win = self.heap.heap().open_window(
-                    self.writes.keys().map(|&a| (a / 8) as usize),
-                    Some((self.heap.chaos(), self.tid)),
-                );
-                // Sealed, window up, write-back not yet begun: a delay
-                // here stalls the committer with the public view
-                // protected (the exact race the plain-access tests
-                // drive), and a panic leaves a sealed record for
-                // helper-completion — the window guard restores
-                // protection on the way out.
-                let _ = self.heap.chaos().strike(self.tid, FailSite::UstmSealed);
-                for (&a, &v) in &self.writes {
-                    self.heap
-                        .heap()
-                        .shadow_word((a / 8) as usize)
-                        .store(v, Ordering::Release);
-                }
-            }
+            // Phase 3: the write-back. USTM readers are excluded by
+            // ownership; TL2 readers and plain loads by the held stripes.
+            let chaos = (self.ts != SERIAL_TS).then(|| (self.heap.chaos(), self.tid));
+            self.ustm.write_back(
+                self.heap,
+                self.tid,
+                self.writes.iter().map(|(&a, &v)| (a, v)),
+                chaos,
+            );
         }
         // A read-only transaction skips seal and write-back: its reads
         // were protected by read ownership the whole time, so even a

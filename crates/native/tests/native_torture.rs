@@ -4,9 +4,10 @@
 //! injection site — runs a workload on the hybrid, and asserts that
 //! the survivors reach quiescence with the heap consistent: counter
 //! balance against per-tid progress words committed in the same
-//! transactions, a structurally sound ownership table, drained gates,
-//! and the reclamation counters that the schedule forces (orphan
-//! steals, orphan releases, helper completions) actually nonzero.
+//! transactions, a structurally sound ownership table, a stripe table
+//! with no lock held and no owner count set, and the reclamation
+//! counters that the schedule forces (orphan steals, orphan releases,
+//! helper completions) actually nonzero.
 //!
 //! Every cell echoes `workload/site/seed` to stderr before running, so
 //! a failure names the exact schedule to replay; a per-cell watchdog
@@ -296,12 +297,16 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
             }
         }
 
-        // Quiescence: gates repaired, ownership table structurally
-        // sound and fully drained, no stripe lock left stamped.
+        // Quiescence: ownership table structurally sound and fully
+        // drained, no stripe lock left held (the UstmSealed victim dies
+        // holding its write-back's stripes) and no owner count left set.
         h.ustm()
             .audit()
             .unwrap_or_else(|e| panic!("{label}: otable audit failed: {e}"));
         assert_eq!(h.ustm().owned_lines(), 0, "{label}: ownership leaked");
+        h.tl2()
+            .audit_stripes()
+            .unwrap_or_else(|e| panic!("{label}: stripe audit failed: {e}"));
         w.verify(&h, &label);
 
         // Site-specific reclamation guarantees: the victim died holding
@@ -430,6 +435,9 @@ fn sealed_death_is_helper_completed() {
     assert_eq!(h.peek(ACCT_A), 43, "helper must replay the whole record");
     assert_eq!(h.ustm().owned_lines(), 0, "reaper must sweep ownership");
     h.ustm().audit().expect("otable audit");
+    h.tl2()
+        .audit_stripes()
+        .expect("helper must release the stripes the corpse held");
 }
 
 /// Deterministic orphan release: the worker dies with write ownerships
@@ -510,10 +518,10 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     );
 }
 
-/// Satellite 3: plain peeks racing a *stalled* slow-path commit inside
-/// the PhTM gate. The committer is delayed mid-window (sealed, public
-/// view protected where guarded, gate raised everywhere); concurrent
-/// plain readers must never observe the write-back half-applied.
+/// Plain peeks racing a *stalled* slow-path commit. The committer is
+/// delayed mid-window (sealed, stripes held, public view protected
+/// where guarded); concurrent plain readers must never observe the
+/// write-back half-applied.
 /// Transactions write `X` then `X2` (ascending addresses, so write-back
 /// updates `X` first): reading `X` then `X2`, a torn observation is
 /// exactly `x2 < x`.
