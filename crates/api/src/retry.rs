@@ -32,20 +32,6 @@ pub struct RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Exponential backoff with no jitter and no limits.
-    #[must_use]
-    pub const fn exponential(base: u64, cap_exp: u32) -> Self {
-        RetryPolicy {
-            backoff_base: base,
-            backoff_cap_exp: cap_exp,
-            backoff_jitter_pct: 0,
-            failover_after: None,
-            watchdog_after: None,
-            serial_after: None,
-            stagnation_after: None,
-        }
-    }
-
     /// The un-jittered backoff after the `n`-th counted abort.
     #[must_use]
     #[inline]
@@ -209,6 +195,19 @@ fn reached(limit: Option<u32>, n: u32) -> bool {
 mod tests {
     use super::*;
 
+    /// Exponential backoff with no jitter and no limits.
+    fn exponential(base: u64, cap_exp: u32) -> RetryPolicy {
+        RetryPolicy {
+            backoff_base: base,
+            backoff_cap_exp: cap_exp,
+            backoff_jitter_pct: 0,
+            failover_after: None,
+            watchdog_after: None,
+            serial_after: None,
+            stagnation_after: None,
+        }
+    }
+
     /// How the caller reports the global commit count.
     #[derive(Clone, Copy, Debug)]
     enum Commits {
@@ -272,7 +271,7 @@ mod tests {
             failover_after: failover,
             watchdog_after: watchdog,
             serial_after: serial,
-            ..RetryPolicy::exponential(50, 3)
+            ..exponential(50, 3)
         }
     }
 
@@ -411,7 +410,7 @@ mod tests {
 
     #[test]
     fn with_every_limit_off_the_core_retries_forever() {
-        let mut core = RetryCore::new(RetryPolicy::exponential(16, 6));
+        let mut core = RetryCore::new(exponential(16, 6));
         for class in [AbortClass::Contention, AbortClass::Transient] {
             let mut tally = Tally::default();
             for n in 1..=10_000u32 {
@@ -445,7 +444,7 @@ mod tests {
     fn stagnation_memory_outlives_the_transaction_and_resets_on_escalation() {
         let mut core = RetryCore::new(RetryPolicy {
             stagnation_after: Some(2),
-            ..RetryPolicy::exponential(50, 3)
+            ..exponential(50, 3)
         });
         let step = |core: &mut RetryCore| {
             core.on_abort(
@@ -470,7 +469,7 @@ mod tests {
         // 1 << 0 = 1 unit at 25 % jitter: the span rounds to zero.
         let mut core = RetryCore::new(RetryPolicy {
             backoff_jitter_pct: 25,
-            ..RetryPolicy::exponential(1, 0)
+            ..exponential(1, 0)
         });
         let d = core.on_abort(
             &mut Tally::default(),
@@ -484,7 +483,7 @@ mod tests {
 
     #[test]
     fn backoff_doubles_then_saturates() {
-        let p = RetryPolicy::exponential(50, 7);
+        let p = exponential(50, 7);
         assert_eq!(p.backoff_for(0), 50);
         assert_eq!(p.backoff_for(1), 100);
         assert_eq!(p.backoff_for(7), 50 << 7);

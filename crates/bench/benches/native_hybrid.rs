@@ -9,10 +9,13 @@
 //! would otherwise never overlap a timeslice — the yield stands in for
 //! the paper's "transactions long enough to be preempted" regime.
 //!
-//! Under high abort rates the TL2-only driver burns its time on
-//! optimistic re-execution and backoff, while the hybrid fails over to
-//! the USTM slow path, whose blocking age-ordered protocol serializes
-//! the hot line without wasted work. The headline cell (4 threads, one
+//! "TL2-only" is the same driver with failover off
+//! (`NativeHybridPolicy { failover_after: None, .. }`): the same fast
+//! path, retry schedule and isolated plain accesses, so failover is the
+//! only difference between the two columns. Under high abort rates
+//! TL2-only burns its time on optimistic re-execution and backoff,
+//! while the hybrid fails over to the USTM slow path, whose blocking
+//! age-ordered protocol serializes the hot line without wasted work. The headline cell (4 threads, one
 //! line) takes the best of three repetitions per system, logs the
 //! `hybrid/tl2` ratio (expected >= 1.0), and hard-fails only below a
 //! 0.8 noise-tolerance band; the full sweep and the
@@ -25,9 +28,7 @@ use ufotm_bench::{
 };
 use ufotm_core::TmBackend;
 use ufotm_machine::Addr;
-use ufotm_native::{
-    run_hybrid_threads, run_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeTl2,
-};
+use ufotm_native::{run_hybrid_threads, HybridStats, NativeHybrid, NativeHybridPolicy, NativeTl2};
 
 /// First counter slot (byte address; slots are line-spaced).
 const SLOT_BASE: u64 = 4096;
@@ -69,29 +70,25 @@ struct Cell {
 }
 
 fn run_tl2_only(threads: usize, lines: u64, txns: u64) -> Cell {
-    let heap = NativeTl2::new(HEAP_WORDS, LOCK_ENTRIES, ALLOC_BASE_WORD);
-    let (host, stats) = HostMetrics::measure(|| {
-        let (stats, _) = run_threads(&heap, threads, |th| counter_body(th, lines, txns));
-        (0, stats)
-    });
-    let total = threads as u64 * txns;
-    check_sum(&heap, lines, total);
-    Cell {
-        ops_per_sec: total as f64 * 1e9 / host.ns.max(1) as f64,
-        commits: stats.commits,
-        aborts: stats.total_aborts(),
-        hybrid: HybridStats::default(),
-    }
+    let tl2_only = NativeHybridPolicy {
+        failover_after: None,
+        ..NativeHybridPolicy::default()
+    };
+    run_cell(threads, lines, txns, tl2_only)
 }
 
 fn run_hybrid(threads: usize, lines: u64, txns: u64) -> Cell {
+    run_cell(threads, lines, txns, NativeHybridPolicy::default())
+}
+
+fn run_cell(threads: usize, lines: u64, txns: u64, policy: NativeHybridPolicy) -> Cell {
     let shared = NativeHybrid::new(
         HEAP_WORDS,
         LOCK_ENTRIES,
         ALLOC_BASE_WORD,
         threads,
         OTABLE_BINS,
-        NativeHybridPolicy::default(),
+        policy,
     );
     let (host, stats) = HostMetrics::measure(|| {
         let (stats, _) = run_hybrid_threads(&shared, threads, |th| counter_body(th, lines, txns));

@@ -1,4 +1,5 @@
-//! Wall-clock throughput of the native host-atomics TL2 backend.
+//! Wall-clock throughput of the native host-atomics TL2 backend (the
+//! native hybrid with failover off).
 //!
 //! Runs the backend-generic kmeans and ssca2 bodies on real OS threads
 //! (no simulator) and records operations per second in
@@ -34,7 +35,7 @@ fn record(
     println!(
         "  {label:<28} {threads}T  ops={:>8}  commits={:>8}  aborts={:>6}  {:>12.0} ops/s",
         out.ops,
-        out.stats.commits,
+        out.total_commits(),
         out.stats.total_aborts(),
         ops_s,
     );

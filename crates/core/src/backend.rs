@@ -32,23 +32,12 @@ pub enum BackendKind {
     /// The deterministic cycle-charged simulator (default).
     #[default]
     Simulated,
-    /// Host-atomics TL2 on real OS threads (`ufotm-native`).
+    /// Host-atomics TL2 on real OS threads (`ufotm-native`): the native
+    /// hybrid with failover off.
     NativeTl2,
     /// Host-atomics hybrid: TL2 fast path failing over to a
     /// strongly-atomic USTM slow path (`ufotm-native`).
     NativeHybrid,
-}
-
-impl BackendKind {
-    /// Stable label used in reports and bench artifacts.
-    #[must_use]
-    pub const fn label(self) -> &'static str {
-        match self {
-            BackendKind::Simulated => "simulated",
-            BackendKind::NativeTl2 => "native-tl2",
-            BackendKind::NativeHybrid => "native-hybrid",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -56,10 +45,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_labels_are_stable() {
+    fn default_backend_is_the_simulator() {
         assert_eq!(BackendKind::default(), BackendKind::Simulated);
-        assert_eq!(BackendKind::Simulated.label(), "simulated");
-        assert_eq!(BackendKind::NativeTl2.label(), "native-tl2");
-        assert_eq!(BackendKind::NativeHybrid.label(), "native-hybrid");
     }
 }

@@ -18,7 +18,7 @@ fn machine_for(kind: SystemKind, cpus: usize) -> MachineConfig {
 
 /// Runs `threads` bodies under `kind`, returning the final world. Every
 /// run is journaled and the trace auditor must find it invariant-clean.
-fn run_threads(
+fn run_sim_threads(
     kind: SystemKind,
     cfg: MachineConfig,
     bodies: Vec<ThreadFn<TmShared>>,
@@ -63,7 +63,7 @@ fn every_system_counts_correctly_under_contention() {
         SystemKind::PhTm,
     ] {
         let cfg = machine_for(kind, 4);
-        let r = run_threads(kind, cfg, counter_bodies(kind, 4, 20));
+        let r = run_sim_threads(kind, cfg, counter_bodies(kind, 4, 20));
         assert_eq!(
             r.machine.peek(COUNTER),
             80,
@@ -76,7 +76,7 @@ fn every_system_counts_correctly_under_contention() {
 #[test]
 fn sequential_baseline_counts() {
     let cfg = machine_for(SystemKind::Sequential, 1);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::Sequential,
         cfg,
         counter_bodies(SystemKind::Sequential, 1, 50),
@@ -87,7 +87,7 @@ fn sequential_baseline_counts() {
 #[test]
 fn ufo_hybrid_commits_small_txns_in_hardware() {
     let cfg = machine_for(SystemKind::UfoHybrid, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         counter_bodies(SystemKind::UfoHybrid, 2, 25),
@@ -101,7 +101,7 @@ fn ufo_hybrid_commits_small_txns_in_hardware() {
 fn ufo_hybrid_fails_over_on_cache_overflow() {
     let mut cfg = machine_for(SystemKind::UfoHybrid, 1);
     cfg.l1 = CacheGeometry::new(4, 2); // 8 lines: easy to overflow
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -135,7 +135,7 @@ fn ufo_hybrid_fails_over_on_cache_overflow() {
 fn unbounded_htm_runs_large_txns_in_hardware() {
     let mut cfg = machine_for(SystemKind::UnboundedHtm, 1);
     cfg.l1 = CacheGeometry::new(4, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UnboundedHtm,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -160,7 +160,7 @@ fn unbounded_htm_runs_large_txns_in_hardware() {
 #[test]
 fn hybrid_io_fails_over() {
     let cfg = machine_for(SystemKind::UfoHybrid, 1);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -184,7 +184,7 @@ fn hybrid_io_fails_over() {
 #[test]
 fn alloc_pool_refill_fails_over_and_allocations_survive() {
     let cfg = machine_for(SystemKind::UfoHybrid, 1);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -220,7 +220,7 @@ fn alloc_pool_refill_fails_over_and_allocations_survive() {
 #[test]
 fn frees_are_deferred_to_commit() {
     let cfg = machine_for(SystemKind::UstmWeak, 1);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UstmWeak,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -242,7 +242,7 @@ fn hybrid_hw_txn_respects_stm_isolation() {
     let b = Addr(4096);
     let mut cfg = machine_for(SystemKind::UfoHybrid, 2);
     cfg.l1 = CacheGeometry::new(8, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         vec![
@@ -292,7 +292,7 @@ fn hybrid_hw_txn_respects_stm_isolation() {
 fn forced_failover_sends_hybrids_to_software() {
     for kind in [SystemKind::UfoHybrid, SystemKind::HyTm, SystemKind::PhTm] {
         let cfg = machine_for(kind, 1);
-        let r = run_threads(
+        let r = run_sim_threads(
             kind,
             cfg,
             vec![Box::new(move |ctx: &mut Ctx<TmShared>| {
@@ -316,7 +316,7 @@ fn forced_failover_sends_hybrids_to_software() {
 #[test]
 fn forced_failover_is_a_noop_for_pure_htm() {
     let cfg = machine_for(SystemKind::UnboundedHtm, 1);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UnboundedHtm,
         cfg,
         vec![Box::new(|ctx: &mut Ctx<TmShared>| {
@@ -339,7 +339,7 @@ fn forced_failover_is_a_noop_for_pure_htm() {
 fn phtm_software_phase_aborts_concurrent_hardware() {
     let mut cfg = machine_for(SystemKind::PhTm, 2);
     cfg.l1 = CacheGeometry::new(4, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::PhTm,
         cfg,
         vec![
@@ -382,7 +382,7 @@ fn phtm_software_phase_aborts_concurrent_hardware() {
 fn hytm_hw_txn_aborts_on_otable_conflict() {
     let mut cfg = machine_for(SystemKind::HyTm, 2);
     cfg.l1 = CacheGeometry::new(4, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::HyTm,
         cfg,
         vec![
@@ -428,7 +428,7 @@ fn retry_in_hybrid_fails_over_and_wakes() {
     let flag = Addr(0);
     let data = Addr(4096);
     let cfg = machine_for(SystemKind::UfoHybrid, 2);
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         vec![
@@ -465,7 +465,7 @@ fn requester_wins_cm_still_correct() {
     use ufotm_machine::HwCmPolicy;
     let mut cfg = machine_for(SystemKind::UfoHybrid, 4);
     cfg.hw_cm = HwCmPolicy::RequesterWins;
-    let r = run_threads(
+    let r = run_sim_threads(
         SystemKind::UfoHybrid,
         cfg,
         counter_bodies(SystemKind::UfoHybrid, 4, 15),
@@ -500,7 +500,7 @@ fn stall_on_ufo_fault_policy_still_correct() {
             })
         })
         .collect();
-    let r = run_threads(SystemKind::UfoHybrid, cfg, bodies);
+    let r = run_sim_threads(SystemKind::UfoHybrid, cfg, bodies);
     assert_eq!(r.machine.peek(COUNTER), 20);
 }
 
@@ -524,7 +524,7 @@ fn failover_on_nth_conflict_policy_reaches_software() {
             })
         })
         .collect();
-    let r = run_threads(SystemKind::UfoHybrid, cfg, bodies);
+    let r = run_sim_threads(SystemKind::UfoHybrid, cfg, bodies);
     assert_eq!(r.machine.peek(COUNTER), 100);
     assert!(
         r.shared.stats.sw_commits > 0,

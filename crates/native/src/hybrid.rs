@@ -11,6 +11,10 @@
 //! decided by [`RetryCore`], the same Algorithm-3 core the simulated
 //! driver uses.
 //!
+//! This is the crate's only driver. With `failover_after: None` it never
+//! leaves the fast path, which is how the native "TL2-only" system runs:
+//! failover is the only difference between the two native systems.
+//!
 //! ## Isolation per stripe
 //!
 //! Fast and slow transactions run concurrently, as in the paper's UFO
@@ -23,17 +27,16 @@
 //! at all. The serial tier is one more USTM attempt at a reserved
 //! timestamp older than all others: nothing can kill or stall it.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Barrier, Mutex};
 
 use ufotm_api::{
     AbortClass, Addr, Decision, RetryCore, RetryPolicy, Stop, Tally, TmBackend, TxScope, UstmAbort,
 };
 
-use crate::chaos::lock_recover;
+use crate::chaos::{lock_recover, panic_message};
 use crate::guard::GuardStats;
-use crate::tl2::{
-    join_workers, run_workers, spin_work, NativeStats, NativeTl2, NativeTxn, WorkerOutcome,
-};
+use crate::tl2::{spin_work, NativeStats, NativeTl2, NativeTxn};
 use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 
 /// Failover/backoff policy for the native hybrid — the same knobs, with
@@ -43,8 +46,9 @@ use crate::ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};
 #[derive(Clone, Copy, Debug)]
 pub struct NativeHybridPolicy {
     /// Consecutive fast-path aborts before one slow-path execution; the
-    /// `failover_after`-th abort fails over without backing off.
-    pub failover_after: u32,
+    /// `failover_after`-th abort fails over without backing off. `None`
+    /// never fails over: the fast path retries until it commits (TL2-only).
+    pub failover_after: Option<u32>,
     /// Base spin units for fast-path retry backoff.
     pub backoff_base: u64,
     /// The backoff after the `n`-th consecutive abort is
@@ -62,7 +66,7 @@ pub struct NativeHybridPolicy {
 impl Default for NativeHybridPolicy {
     fn default() -> Self {
         NativeHybridPolicy {
-            failover_after: 4,
+            failover_after: Some(4),
             backoff_base: 50,
             backoff_cap_exp: 7,
             backoff_jitter_pct: 25,
@@ -270,7 +274,7 @@ impl<'a> HybridThread<'a> {
                 backoff_base: p.backoff_base,
                 backoff_cap_exp: p.backoff_cap_exp,
                 backoff_jitter_pct: p.backoff_jitter_pct,
-                failover_after: Some(p.failover_after),
+                failover_after: p.failover_after,
                 watchdog_after: None,
                 serial_after: Some(p.serial_after),
                 stagnation_after: None,
@@ -474,8 +478,18 @@ impl TmBackend for HybridThread<'_> {
     }
 }
 
-/// A hybrid worker's outcome from [`run_hybrid_threads_collect`].
-pub type HybridOutcome<R> = WorkerOutcome<HybridStats, R>;
+/// One worker's outcome from [`run_hybrid_threads_collect`]: its counters
+/// survive even when the body panicked, so torture tests can assert that
+/// the *surviving* threads still committed.
+#[derive(Clone, Debug)]
+pub struct HybridOutcome<R> {
+    /// Worker tid (outcomes are returned in tid order).
+    pub tid: usize,
+    /// The worker's event counters at join time.
+    pub stats: HybridStats,
+    /// The body's result, or the rendered panic payload.
+    pub result: Result<R, String>,
+}
 
 /// Runs `body` on `threads` real OS threads over `shared`, each with
 /// its own [`HybridThread`] handle and a common phase barrier, and
@@ -486,22 +500,39 @@ pub type HybridOutcome<R> = WorkerOutcome<HybridStats, R>;
 ///
 /// Bodies that may be killed by panic injection must not use the phase
 /// barrier (a dead worker never arrives).
+///
+/// # Panics
+///
+/// Panics if `threads` is 0.
 pub fn run_hybrid_threads_collect<R: Send>(
     shared: &NativeHybrid,
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> Vec<HybridOutcome<R>> {
+    assert!(threads >= 1, "at least one thread");
     let barrier = Barrier::new(threads);
-    let outcomes = run_workers(
-        threads,
-        |tid| HybridThread::new(shared, Some(&barrier), tid, threads),
-        HybridThread::stats,
-        |tid| {
-            shared.tl2.liveness().mark_dead(tid);
-            shared.reap_dead(tid);
-        },
-        body,
-    );
+    let outcomes: Vec<HybridOutcome<R>> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|tid| {
+                let (barrier, body) = (&barrier, &body);
+                scope.spawn(move || {
+                    let mut th = HybridThread::new(shared, Some(barrier), tid, threads);
+                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
+                    let stats = th.stats();
+                    let result = r.map_err(|payload| {
+                        shared.tl2.liveness().mark_dead(tid);
+                        shared.reap_dead(tid);
+                        panic_message(payload.as_ref())
+                    });
+                    HybridOutcome { tid, stats, result }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("worker wrapper itself panicked"))
+            .collect()
+    });
     if outcomes.iter().any(|o| o.result.is_err()) {
         shared.reap_all_dead();
     }
@@ -522,8 +553,20 @@ pub fn run_hybrid_threads<R: Send>(
     threads: usize,
     body: impl Fn(&mut HybridThread<'_>) -> R + Sync,
 ) -> (HybridStats, Vec<R>) {
-    join_workers(
-        run_hybrid_threads_collect(shared, threads, body),
-        HybridStats::merge,
-    )
+    let mut stats = HybridStats::default();
+    let mut results = Vec::with_capacity(threads);
+    let mut deaths = Vec::new();
+    for o in run_hybrid_threads_collect(shared, threads, body) {
+        stats.merge(&o.stats);
+        match o.result {
+            Ok(r) => results.push(r),
+            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
+        }
+    }
+    assert!(
+        deaths.is_empty(),
+        "worker thread(s) panicked: {}",
+        deaths.join("; ")
+    );
+    (stats, results)
 }

@@ -9,9 +9,8 @@
 //! measures what the paper's design actually costs in wall-clock
 //! ops/sec on real contended cache lines:
 //!
-//! * [`NativeTl2`] / [`NativeTxn`] / [`NativeThread`] — the
-//!   simulated TL2's version-lock protocol on `AtomicU64` stripes; the
-//!   hybrid's fast path and a backend in its own right.
+//! * [`NativeTl2`] / [`NativeTxn`] — the simulated TL2's version-lock
+//!   protocol on `AtomicU64` stripes; the hybrid's fast path.
 //! * [`NativeUstm`] / [`NativeUstmTxn`] ([`ustm`]) — a redo-log USTM
 //!   with a sharded ownership table and age-ordered kills; the hybrid's
 //!   strongly-atomic slow path.
@@ -20,12 +19,13 @@
 //!   public heap view, racing plain accesses fault, get classified, and
 //!   re-execute after the window (feature `mprotect-guard`, Linux
 //!   x86_64 only; disable at runtime with `UFOTM_SKIP_GUARD=1`).
-//! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the failover
-//!   driver: TL2 fast path, USTM slow path after `failover_after`
-//!   consecutive aborts with jittered backoff, serial tier after
-//!   `serial_after` failed slow attempts — with every retry decision
-//!   made by the shared `RetryCore`. Fast and slow transactions run
-//!   concurrently, isolated per stripe.
+//! * [`NativeHybrid`] / [`HybridThread`] ([`hybrid`]) — the one driver
+//!   and its runners ([`run_hybrid_threads`]): TL2 fast path, USTM slow
+//!   path after `failover_after` consecutive aborts with jittered
+//!   backoff, serial tier after `serial_after` failed slow attempts —
+//!   with every retry decision made by the shared `RetryCore`. Fast and
+//!   slow transactions run concurrently, isolated per stripe. "TL2-only"
+//!   is this driver with failover off (`failover_after: None`).
 //!
 //! The sim and native implementations are cross-validated
 //! (`crates/stamp`'s `cross_validate` suite): the same transaction
@@ -37,11 +37,12 @@
 //! Not deterministic (real races, real interleavings — runs are
 //! unrepeatable by design; the `cargo xtask analyze` determinism lints
 //! exempt this crate for exactly that reason) and not cycle-accurate
-//! ([`spin_work`] is a calibrated busy-loop, not a cycle model). Unlike
-//! the weakly-atomic TL2-only backend, the hybrid *is* strongly atomic
-//! for its slow path: the stripe table keeps plain accesses and fast
-//! commits out of a slow transaction's lines, and the guard window
-//! defers plain accesses racing a write-back on the same page.
+//! ([`spin_work`] is a calibrated busy-loop, not a cycle model). The
+//! hybrid is strongly atomic for its slow path: the stripe table keeps
+//! plain accesses and fast commits out of a slow transaction's lines,
+//! and the guard window defers plain accesses racing a write-back on the
+//! same page. With failover off no transaction takes the slow path, so
+//! TL2-only stays weakly atomic, like the simulated TL2.
 //!
 //! `unsafe` is confined to [`guard`]'s raw-syscall module; the rest of
 //! the crate denies it. Inside that module every unsafe operation must
@@ -66,8 +67,5 @@ pub use hybrid::{
     run_hybrid_threads, run_hybrid_threads_collect, HybridOutcome, HybridStats, HybridThread,
     NativeHybrid, NativeHybridPolicy,
 };
-pub use tl2::{
-    run_threads, run_threads_collect, spin_work, DebugWindow, NativeOutcome, NativeStats,
-    NativeThread, NativeTl2, NativeTxn, WorkerOutcome,
-};
+pub use tl2::{spin_work, DebugWindow, NativeStats, NativeTl2, NativeTxn};
 pub use ustm::{NativeUstm, NativeUstmStats, NativeUstmTxn};

@@ -1,5 +1,6 @@
-//! Host-atomics TL2: the fast path of the native hybrid (and a backend
-//! in its own right).
+//! Host-atomics TL2: the fast path of the native hybrid. "TL2-only" is
+//! not a second driver: it is [`crate::NativeHybrid`] with failover off
+//! (`NativeHybridPolicy::failover_after == None`).
 //!
 //! The same version-lock + global-clock protocol as the simulated
 //! `ufotm-tl2` crate — striped version-locks keyed by cache
@@ -40,15 +41,11 @@
 //! stripe whose count is set rolls back as [`Tl2Abort::LockBusy`].
 
 use std::collections::BTreeMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Barrier;
 
-use ufotm_api::{
-    AbortClass, Addr, Decision, RetryCore, RetryPolicy, Stop, Tally, Tl2Abort, TmBackend, TxScope,
-};
+use ufotm_api::{Addr, Stop, Tl2Abort, TxScope};
 
-use crate::chaos::{self, FailSite, Liveness, NativeChaos, MAX_WORKERS};
+use crate::chaos::{FailSite, Liveness, NativeChaos, MAX_WORKERS};
 use crate::guard::GuardStats;
 use crate::heap::{CommitWindow, WordHeap};
 
@@ -275,8 +272,9 @@ impl NativeTl2 {
     }
 
     /// Raw plain (non-transactional) load, for setup and verification
-    /// phases and the TL2-only backend; only a guard window over the
-    /// page defers it. [`crate::NativeHybrid::peek`] is the isolated one.
+    /// phases while no transaction runs; only a guard window over the
+    /// page defers it. [`crate::NativeHybrid::peek`] is the isolated one
+    /// that transaction bodies' plain accesses use.
     #[must_use]
     pub fn peek(&self, addr: Addr) -> u64 {
         self.heap.load(self.word_index(addr))
@@ -480,8 +478,8 @@ impl NativeStats {
 
 /// A per-thread transaction handle over a shared [`NativeTl2`] — the
 /// native mirror of `ufotm_tl2::Tl2Txn`, usable step by step
-/// (begin/read/write/commit) by the cross-validation scripts or through
-/// the retry loop in [`NativeThread`].
+/// (begin/read/write/commit) by the cross-validation scripts or as the
+/// fast path of a [`crate::HybridThread`], which owns the retry loop.
 #[derive(Debug)]
 pub struct NativeTxn<'a> {
     pub(crate) shared: &'a NativeTl2,
@@ -549,7 +547,6 @@ impl<'a> NativeTxn<'a> {
     /// Panics if a transaction is already active.
     pub fn begin(&mut self) {
         assert!(!self.active, "nested native transactions are not supported");
-        self.shared.liveness.beat(self.tid);
         self.rv = self.shared.clock.load(Ordering::Acquire);
         self.reads.clear();
         self.writes.clear();
@@ -746,36 +743,7 @@ impl<'a> NativeTxn<'a> {
             self.shared.locks[s].store(old, Ordering::Release);
         }
     }
-
-    /// Runs `body` as a transaction, retrying with exponential backoff
-    /// until commit, and returns its result.
-    pub fn run<R>(&mut self, mut body: impl FnMut(&mut NativeTxn<'a>) -> Result<R, Tl2Abort>) -> R {
-        let mut core = TL2_RETRY;
-        let mut tally = Tally::default();
-        loop {
-            self.begin();
-            if let Ok(r) = body(self) {
-                if self.commit().is_ok() {
-                    return r;
-                }
-            } else if self.active {
-                // A body may surface its own error while the attempt is
-                // still live (e.g. a fabricated abort): drop it cleanly.
-                self.drop_attempt();
-            }
-            let decision = core.on_abort(&mut tally, AbortClass::Contention, None, || false, |_| 0);
-            let Decision::Retry { backoff } = decision else {
-                unreachable!("TL2 has no failover target, got {decision:?}")
-            };
-            spin_work(backoff);
-        }
-    }
 }
-
-/// TL2's retry schedule: pause backoff of `16 << min(n, 6)` spin units
-/// after the `n`-th consecutive abort (the simulated TL2's capped
-/// schedule), no jitter, and no failover — TL2 retries forever.
-const TL2_RETRY: RetryCore = RetryCore::new(RetryPolicy::exponential(16, 6));
 
 impl TxScope for NativeTxn<'_> {
     fn read(&mut self, addr: Addr) -> Result<u64, Stop> {
@@ -794,190 +762,4 @@ impl TxScope for NativeTxn<'_> {
         spin_work(cycles);
         Ok(())
     }
-}
-
-/// One OS thread's backend handle: a [`NativeTxn`] plus the shared phase
-/// barrier, implementing [`TmBackend`] so backend-generic workloads run
-/// on real threads unchanged.
-#[derive(Debug)]
-pub struct NativeThread<'a> {
-    txn: NativeTxn<'a>,
-    barrier: &'a Barrier,
-    threads: usize,
-}
-
-impl<'a> NativeThread<'a> {
-    /// Creates the handle for thread `tid` of `threads`.
-    #[must_use]
-    pub fn new(shared: &'a NativeTl2, barrier: &'a Barrier, tid: usize, threads: usize) -> Self {
-        NativeThread {
-            txn: NativeTxn::new(shared, tid),
-            barrier,
-            threads,
-        }
-    }
-
-    /// This handle's event counters.
-    #[must_use]
-    pub fn stats(&self) -> NativeStats {
-        self.txn.stats
-    }
-}
-
-impl TmBackend for NativeThread<'_> {
-    fn transaction<R>(&mut self, mut body: impl FnMut(&mut dyn TxScope) -> Result<R, Stop>) -> R {
-        // The abort value is only a retry signal to `run`.
-        self.txn
-            .run(|t| body(t).map_err(|Stop| Tl2Abort::ReadValidation))
-    }
-
-    fn plain_load(&mut self, addr: Addr) -> u64 {
-        self.txn.shared.peek(addr)
-    }
-
-    fn plain_store(&mut self, addr: Addr, value: u64) {
-        self.txn.shared.poke(addr, value);
-    }
-
-    fn compute(&mut self, cycles: u64) {
-        spin_work(cycles);
-    }
-
-    fn barrier(&mut self) {
-        self.barrier.wait();
-    }
-
-    fn tid(&self) -> usize {
-        self.txn.tid
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-/// One worker's join outcome from a collecting runner: its counters `S`
-/// survive even when the body panicked, so torture tests can assert
-/// that the *surviving* threads still committed.
-#[derive(Clone, Debug)]
-pub struct WorkerOutcome<S, R> {
-    /// Worker tid (outcomes are returned in tid order).
-    pub tid: usize,
-    /// The worker's event counters at join time.
-    pub stats: S,
-    /// The body's result, or the rendered panic payload.
-    pub result: Result<R, String>,
-}
-
-/// A TL2 worker's outcome from [`run_threads_collect`].
-pub type NativeOutcome<R> = WorkerOutcome<NativeStats, R>;
-
-/// Runs `body` on `threads` OS threads over handles from `make(tid)` and
-/// collects every outcome; a worker whose body panics is handed to `bury`
-/// in-thread, before it exits, so survivors can reclaim its leavings.
-pub(crate) fn run_workers<H, S: Send, R: Send>(
-    threads: usize,
-    make: impl Fn(usize) -> H + Sync,
-    stats: impl Fn(&H) -> S + Sync,
-    bury: impl Fn(usize) + Sync,
-    body: impl Fn(&mut H) -> R + Sync,
-) -> Vec<WorkerOutcome<S, R>> {
-    assert!(threads >= 1, "at least one thread");
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|tid| {
-                let (make, stats, bury, body) = (&make, &stats, &bury, &body);
-                scope.spawn(move || {
-                    let mut th = make(tid);
-                    let r = catch_unwind(AssertUnwindSafe(|| body(&mut th)));
-                    let stats = stats(&th);
-                    let result = r.map_err(|payload| {
-                        bury(tid);
-                        chaos::panic_message(payload.as_ref())
-                    });
-                    WorkerOutcome { tid, stats, result }
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker wrapper itself panicked"))
-            .collect()
-    })
-}
-
-/// Sums collected outcomes' stats and returns the results in tid order,
-/// panicking with every dead tid's payload and counters if any died.
-pub(crate) fn join_workers<S: Default + std::fmt::Debug, R>(
-    outcomes: Vec<WorkerOutcome<S, R>>,
-    merge: impl Fn(&mut S, &S),
-) -> (S, Vec<R>) {
-    let mut stats = S::default();
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut deaths = Vec::new();
-    for o in outcomes {
-        merge(&mut stats, &o.stats);
-        match o.result {
-            Ok(r) => results.push(r),
-            Err(msg) => deaths.push(format!("tid {}: {msg} (stats {:?})", o.tid, o.stats)),
-        }
-    }
-    assert!(
-        deaths.is_empty(),
-        "worker thread(s) panicked: {}",
-        deaths.join("; ")
-    );
-    (stats, results)
-}
-
-/// Runs `body` on `threads` real OS threads over `shared`, each with its
-/// own [`NativeThread`] handle and a common phase barrier, and collects
-/// **every** worker's outcome — a panicked worker is marked dead in the
-/// liveness registry (in-thread, before it exits, so survivors start
-/// reclaiming its locks while still running), its panic payload is
-/// rendered into the outcome, and its counters survive.
-///
-/// After all workers join, if any died, the stripe table is swept for
-/// remaining orphans.
-///
-/// Bodies that may be killed by panic injection must not use the phase
-/// barrier: a dead worker never arrives and the survivors would wait
-/// forever.
-pub fn run_threads_collect<R: Send>(
-    shared: &NativeTl2,
-    threads: usize,
-    body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
-) -> Vec<NativeOutcome<R>> {
-    let barrier = Barrier::new(threads);
-    let outcomes = run_workers(
-        threads,
-        |tid| NativeThread::new(shared, &barrier, tid, threads),
-        NativeThread::stats,
-        |tid| shared.liveness.mark_dead(tid),
-        body,
-    );
-    if outcomes.iter().any(|o| o.result.is_err()) {
-        shared.sweep_orphans();
-    }
-    outcomes
-}
-
-/// Runs `body` on `threads` real OS threads over `shared`, each with its
-/// own [`NativeThread`] handle and a common phase barrier. Returns the
-/// merged stats and each thread's result (in tid order).
-///
-/// # Panics
-///
-/// Panics if any worker panicked, naming every dead tid with its payload
-/// and per-thread counters. Use [`run_threads_collect`] to observe the
-/// survivors instead.
-pub fn run_threads<R: Send>(
-    shared: &NativeTl2,
-    threads: usize,
-    body: impl Fn(&mut NativeThread<'_>) -> R + Sync,
-) -> (NativeStats, Vec<R>) {
-    join_workers(
-        run_threads_collect(shared, threads, body),
-        NativeStats::merge,
-    )
 }

@@ -536,7 +536,6 @@ impl<'a> NativeUstmTxn<'a> {
 
     fn begin_at(&mut self, ts: u64) {
         assert!(!self.active, "nested native transactions are not supported");
-        self.heap.liveness().beat(self.tid);
         self.ts = ts;
         self.my_slot()
             .store(pack(self.ts, 0, PHASE_ACTIVE), Ordering::SeqCst);

@@ -2,25 +2,30 @@
 //! Each one drives genuine cross-core contention through the full
 //! lock-acquire / validate / write-back path and checks an exact
 //! invariant at the end — under TSan, any ordering bug in the protocol
-//! itself also surfaces as a data-race report.
+//! itself also surfaces as a data-race report. They run TL2-only: the
+//! hybrid driver with failover off, so every commit is a fast one.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use ufotm_api::{Addr, TmBackend};
-use ufotm_native::{run_threads, NativeTl2};
+use ufotm_native::{run_hybrid_threads, NativeHybrid, NativeHybridPolicy};
 
 const THREADS: usize = 4;
 const COUNTER: Addr = Addr(4096);
 
-fn heap() -> NativeTl2 {
-    NativeTl2::new(1 << 16, 1 << 12, 1 << 12)
+fn heap() -> NativeHybrid {
+    let tl2_only = NativeHybridPolicy {
+        failover_after: None,
+        ..NativeHybridPolicy::default()
+    };
+    NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, THREADS, 1 << 10, tl2_only)
 }
 
 #[test]
 fn contended_counter_counts_exactly() {
     let shared = heap();
     const PER_THREAD: u64 = 400;
-    let (stats, _) = run_threads(&shared, THREADS, |th| {
+    let (stats, _) = run_hybrid_threads(&shared, THREADS, |th| {
         for _ in 0..PER_THREAD {
             th.transaction(|tx| {
                 let v = tx.read(COUNTER)?;
@@ -31,11 +36,16 @@ fn contended_counter_counts_exactly() {
         }
     });
     assert_eq!(shared.peek(COUNTER), THREADS as u64 * PER_THREAD);
-    assert_eq!(stats.commits, THREADS as u64 * PER_THREAD);
+    assert_eq!(stats.fast.commits, THREADS as u64 * PER_THREAD);
     assert_eq!(
-        stats.begins,
-        stats.commits + stats.total_aborts(),
+        stats.fast.begins,
+        stats.fast.commits + stats.fast.total_aborts(),
         "every begin ends in exactly one commit or abort"
+    );
+    assert_eq!(
+        (stats.failovers, stats.slow.begins, stats.serial_commits),
+        (0, 0, 0),
+        "failover off: nothing leaves the fast path"
     );
 }
 
@@ -45,7 +55,7 @@ fn disjoint_counters_never_conflict() {
     const PER_THREAD: u64 = 500;
     // One counter per thread, spread across distinct cache lines.
     let slot = |tid: usize| Addr(COUNTER.0 + (tid as u64) * 64);
-    let (stats, _) = run_threads(&shared, THREADS, |th| {
+    let (stats, _) = run_hybrid_threads(&shared, THREADS, |th| {
         let mine = slot(th.tid());
         for _ in 0..PER_THREAD {
             th.transaction(|tx| {
@@ -61,7 +71,7 @@ fn disjoint_counters_never_conflict() {
     // Distinct lines *may* still share a hash stripe; with a 4096-entry
     // table that's vanishingly rare, but the hard guarantee is progress
     // and exactness, so only assert the counts.
-    assert_eq!(stats.commits, THREADS as u64 * PER_THREAD);
+    assert_eq!(stats.fast.commits, THREADS as u64 * PER_THREAD);
 }
 
 #[test]
@@ -72,7 +82,7 @@ fn concurrent_list_pushes_preserve_every_node() {
     let shared = heap();
     const PER_THREAD: u64 = 150;
     let head = COUNTER;
-    let (stats, _) = run_threads(&shared, THREADS, |th| {
+    let (stats, _) = run_hybrid_threads(&shared, THREADS, |th| {
         let tid = th.tid() as u64;
         for i in 0..PER_THREAD {
             let payload = tid * PER_THREAD + i + 1;
@@ -99,7 +109,7 @@ fn concurrent_list_pushes_preserve_every_node() {
         len += 1;
     }
     assert_eq!(len, THREADS as u64 * PER_THREAD);
-    assert_eq!(stats.commits, THREADS as u64 * PER_THREAD);
+    assert_eq!(stats.fast.commits, THREADS as u64 * PER_THREAD);
 }
 
 #[test]
@@ -109,7 +119,7 @@ fn barrier_separates_phases() {
     // of a stale value means the barrier or publication is broken.
     let shared = heap();
     let observed_short = AtomicU64::new(0);
-    let (_, _) = run_threads(&shared, THREADS, |th| {
+    let (_, _) = run_hybrid_threads(&shared, THREADS, |th| {
         th.transaction(|tx| {
             let v = tx.read(COUNTER)?;
             tx.write(COUNTER, v + 1)?;
@@ -127,7 +137,7 @@ fn barrier_separates_phases() {
 #[test]
 fn thread_handles_report_identity() {
     let shared = heap();
-    let (_, tids) = run_threads(&shared, THREADS, |th| {
+    let (_, tids) = run_hybrid_threads(&shared, THREADS, |th| {
         assert_eq!(th.threads(), THREADS);
         th.tid()
     });

@@ -74,7 +74,7 @@ fn hybrid_fails_over_under_conflict_and_stays_exact() {
         THREADS,
         1 << 8,
         NativeHybridPolicy {
-            failover_after: 1, // any abort fails over
+            failover_after: Some(1), // any abort fails over
             ..NativeHybridPolicy::default()
         },
     );
@@ -145,7 +145,7 @@ fn hybrid_transfers_conserve_the_total() {
         THREADS,
         1 << 8,
         NativeHybridPolicy {
-            failover_after: 2,
+            failover_after: Some(2),
             ..NativeHybridPolicy::default()
         },
     );

@@ -21,8 +21,8 @@ use std::time::{Duration, Instant};
 
 use ufotm_api::{Addr, TmBackend};
 use ufotm_native::{
-    run_hybrid_threads, run_hybrid_threads_collect, run_threads, run_threads_collect, ChaosPlan,
-    FailSite, HybridThread, InjectedPanic, NativeHybrid, NativeHybridPolicy, NativeTl2,
+    run_hybrid_threads, run_hybrid_threads_collect, ChaosPlan, FailSite, HybridThread,
+    InjectedPanic, NativeHybrid, NativeHybridPolicy,
 };
 
 const THREADS: usize = 4;
@@ -235,6 +235,16 @@ fn world(policy: NativeHybridPolicy) -> NativeHybrid {
     NativeHybrid::new(1 << 16, 1 << 12, 1 << 12, THREADS, 1 << 8, policy)
 }
 
+/// A small TL2-only world: the hybrid with failover off, so every
+/// transaction stays on the fast path.
+fn tl2_only() -> NativeHybrid {
+    let policy = NativeHybridPolicy {
+        failover_after: None,
+        ..NativeHybridPolicy::default()
+    };
+    NativeHybrid::new(1 << 14, 1 << 8, 1 << 12, THREADS, 1 << 6, policy)
+}
+
 /// One matrix cell: arm `mixed(seed)` plus a one-shot panic for the
 /// victim tid at `site`, run the workload, and audit everything.
 fn run_cell(w: Workload, seed: u64, site: FailSite) {
@@ -246,7 +256,7 @@ fn run_cell(w: Workload, seed: u64, site: FailSite) {
     eprintln!("torture {label}");
     with_watchdog(&label, || {
         let h = world(NativeHybridPolicy {
-            failover_after: 2,
+            failover_after: Some(2),
             ..NativeHybridPolicy::default()
         });
         w.setup(&h);
@@ -363,12 +373,13 @@ fn chaos_matrix_survivors_stay_consistent() {
 #[test]
 fn tl2_orphan_steal_unwedges_the_stripe() {
     quiet_injected_panics();
-    let shared = NativeTl2::new(1 << 14, 1 << 8, 1 << 12);
+    let h = tl2_only();
+    let shared = h.tl2();
     shared
         .chaos()
         .arm(&ChaosPlan::quiet(11).with_panic(FailSite::Tl2LockHeld, Some(0), 1));
     let outcomes = with_watchdog("tl2_orphan_steal", || {
-        run_threads_collect(&shared, 2, |th| {
+        run_hybrid_threads_collect(&h, 2, |th| {
             if th.tid() == 0 {
                 th.transaction(|tx| {
                     let v = tx.read(COUNTER)?;
@@ -477,7 +488,7 @@ fn crafted_livelock_completes_on_the_serial_tier() {
     quiet_injected_panics();
     const N: u64 = 10;
     let h = world(NativeHybridPolicy {
-        failover_after: 1,
+        failover_after: Some(1),
         serial_after: 2,
         ..NativeHybridPolicy::default()
     });
@@ -604,15 +615,16 @@ fn poisoned_otable_bin_recovers_and_audits_clean() {
     h.ustm().audit().expect("audit after poison recovery");
 }
 
-/// Satellite 1 (TL2 runner): a genuine (non-injected) worker panic is
-/// collected, not cascaded — survivors finish their full quota and
-/// their outcomes stay assertable, and the corpse's partial counters
-/// survive with its rendered payload.
+/// A genuine (non-injected) worker panic is collected, not cascaded —
+/// survivors finish their full quota and their outcomes stay
+/// assertable, and the corpse's partial counters survive with its
+/// rendered payload.
 #[test]
 fn collect_runner_reports_survivors_alongside_the_dead() {
     quiet_injected_panics();
-    let shared = NativeTl2::new(1 << 14, 1 << 8, 1 << 12);
-    let outcomes = run_threads_collect(&shared, 3, |th| {
+    let h = tl2_only();
+    let shared = h.tl2();
+    let outcomes = run_hybrid_threads_collect(&h, 3, |th| {
         let tid = th.tid();
         for i in 0..20u64 {
             th.transaction(|tx| {
@@ -632,30 +644,29 @@ fn collect_runner_reports_survivors_alongside_the_dead() {
     let dead = &outcomes[1];
     let msg = dead.result.as_ref().expect_err("tid 1 must have died");
     assert!(msg.contains("deliberate test panic"), "payload lost: {msg}");
-    assert_eq!(dead.stats.commits, 5, "corpse counters must survive");
+    assert_eq!(dead.stats.fast.commits, 5, "corpse counters must survive");
     for o in [&outcomes[0], &outcomes[2]] {
         assert!(o.result.is_ok());
-        assert_eq!(o.stats.commits, 20, "survivor lost commits");
+        assert_eq!(o.stats.fast.commits, 20, "survivor lost commits");
         assert_eq!(shared.peek(prog(o.tid)), 20);
     }
     assert!(shared.liveness().is_dead(1));
 }
 
-/// Satellite 1 (assert wrapper): `run_threads` still fails loudly on a
-/// death — naming the tid and payload — so existing callers keep their
-/// all-or-nothing contract.
+/// The asserting runner still fails loudly on a death — naming the tid
+/// and payload — so its callers keep their all-or-nothing contract.
 #[test]
 fn assert_runner_names_the_dead_tid_and_payload() {
     quiet_injected_panics();
-    let shared = NativeTl2::new(1 << 14, 1 << 8, 1 << 12);
+    let h = tl2_only();
     let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_threads(&shared, 2, |th| {
+        run_hybrid_threads(&h, 2, |th| {
             if th.tid() == 0 {
                 panic!("boom in tid zero");
             }
         })
     }))
-    .expect_err("run_threads must propagate worker deaths");
+    .expect_err("run_hybrid_threads must propagate worker deaths");
     let msg = err
         .downcast_ref::<String>()
         .expect("assert message is a String");

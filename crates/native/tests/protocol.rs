@@ -3,8 +3,8 @@
 //! publication, each abort class) deterministically — no real races
 //! needed.
 
-use ufotm_api::{Addr, Tl2Abort};
-use ufotm_native::{NativeTl2, NativeTxn};
+use ufotm_api::{Addr, Tl2Abort, TmBackend};
+use ufotm_native::{HybridThread, NativeHybrid, NativeHybridPolicy, NativeTl2, NativeTxn};
 
 const X: Addr = Addr(512);
 
@@ -141,11 +141,17 @@ fn failed_lock_acquire_rolls_back_already_held_stripes() {
 
 #[test]
 fn run_retries_until_commit() {
-    let shared = heap();
+    // TL2-only: the hybrid driver with failover off owns the retry loop.
+    let tl2_only = NativeHybridPolicy {
+        failover_after: None,
+        ..NativeHybridPolicy::default()
+    };
+    let h = NativeHybrid::new(4096, 1024, 2048, 1, 1 << 6, tl2_only);
+    let shared = h.tl2();
     let raw = shared.debug_lock_stripe(X, 7);
-    let mut a = NativeTxn::new(&shared, 0);
+    let mut a = HybridThread::new(&h, None, 0, 1);
     let mut attempts = 0;
-    let r = a.run(|tx| {
+    let r = a.transaction(|tx| {
         attempts += 1;
         if attempts == 2 {
             // First attempt hit LockBusy against the held stripe;
@@ -156,7 +162,7 @@ fn run_retries_until_commit() {
         Ok(attempts)
     });
     assert_eq!(r, 2, "run returns only after a successful commit");
-    assert_eq!(a.stats.lock_busy_aborts, 1);
+    assert_eq!(a.stats().fast.lock_busy_aborts, 1);
     assert_eq!(shared.peek(X), 11);
 }
 

@@ -13,13 +13,12 @@
 //! deterministic), [`run_native`] on host atomics — TL2-only or the
 //! failover hybrid, per `spec.backend`.
 
-use ufotm_core::{BackendKind, TmBackend};
+use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, Machine};
 
 use crate::backend::SimBackend;
 use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
+    chunk, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
 };
 use crate::structures::{HashSet, Peek, SortedList};
 use crate::world::StampWorld;
@@ -191,27 +190,15 @@ pub fn run_native(spec: &RunSpec, params: &GenomeParams) -> NativeOutcome {
     // One transaction per raw segment in phases 1 and 3, plus one per
     // distinct segment in phase 2 — deterministic from the seed.
     let ops = (p.segments * 2 + p.distinct_segments(seed).len()) as u64;
-    if spec.backend == BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), p.native_alloc_words(), spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |_t| {},
-            |th| phase_body(th, p, seed),
-            |t| check_final(p, seed, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), p.native_alloc_words());
-        run_native_workload(
-            spec,
-            &heap,
-            |_h| {},
-            |th| phase_body(th, p, seed),
-            |h| check_final(p, seed, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    run_native_workload(
+        spec,
+        p.static_end(),
+        p.native_alloc_words(),
+        |_t| {},
+        |th| phase_body(th, p, seed),
+        |t| check_final(p, seed, &|a| t.peek(a)),
+        ops,
+    )
 }
 
 #[cfg(test)]

@@ -12,8 +12,7 @@ use std::collections::BTreeMap;
 use ufotm_core::{BackendKind, HybridPolicy, RunReport, SystemKind, TmShared, TmThread};
 use ufotm_machine::{AbortReason, Addr, Machine, MachineConfig};
 use ufotm_native::{
-    run_hybrid_threads, run_threads, HybridStats, HybridThread, NativeHybrid, NativeHybridPolicy,
-    NativeStats, NativeThread, NativeTl2,
+    run_hybrid_threads, HybridStats, HybridThread, NativeHybrid, NativeHybridPolicy, NativeTl2,
 };
 use ufotm_sim::{Ctx, HandoffMode, Sim, ThreadFn};
 use ufotm_tl2::Tl2Stats;
@@ -87,8 +86,9 @@ impl RunSpec {
         }
     }
 
-    /// A spec for the native host-atomics TL2 backend. The simulated TL2
-    /// is named as `kind` purely for labelling — no simulator runs.
+    /// A spec for the native host-atomics TL2 backend: the native hybrid
+    /// with failover off. The simulated TL2 is named as `kind` purely for
+    /// labelling — no simulator runs.
     ///
     /// # Panics
     ///
@@ -211,7 +211,7 @@ pub fn run_workload(
         spec.backend,
         BackendKind::Simulated,
         "run_workload drives the simulator; use the workload's run_native \
-         for BackendKind::NativeTl2"
+         for a native backend"
     );
     let cfg = spec.machine_config();
     let mut layout = ufotm_core::TmSharedLayout::standard(&cfg);
@@ -292,74 +292,48 @@ pub struct NativeOutcome {
     pub threads: usize,
     /// Workload operations completed (the ops/sec numerator).
     pub ops: u64,
-    /// Merged per-thread TL2 counters (on a hybrid run, the fast path —
-    /// identical to `hybrid.fast`).
-    pub stats: NativeStats,
-    /// Merged hybrid counters. On a TL2-only run the slow-path and
-    /// failover fields are zero and `fast` mirrors `stats`, so
-    /// [`NativeOutcome::total_commits`] is meaningful on both backends.
-    pub hybrid: HybridStats,
+    /// Merged per-thread hybrid counters. On a TL2-only run the
+    /// slow-path, failover and serial fields are zero.
+    pub stats: HybridStats,
 }
 
 impl NativeOutcome {
-    /// Transactions committed on either path.
+    /// Transactions committed on any tier: fast, slow or serial.
     #[must_use]
     pub fn total_commits(&self) -> u64 {
-        self.stats.commits + self.hybrid.slow.commits
+        self.stats.total_commits()
     }
 }
 
-/// Builds a native heap sized for statics ending at `static_end` (a byte
-/// address, exclusive) plus `alloc_words` words of transactional
-/// allocation headroom, with a 4096-stripe lock table.
-#[must_use]
-pub fn native_heap(static_end: Addr, alloc_words: u64) -> NativeTl2 {
-    let base_word = static_end.0.next_multiple_of(64) / 8;
-    NativeTl2::new(base_word + alloc_words, 1 << 12, base_word)
-}
-
-/// Runs one configuration on the native backend: `setup` populates the
-/// heap, every thread runs `body` through its [`NativeThread`] handle,
-/// `verify` checks invariants on the final heap (panicking on violation).
-///
-/// # Panics
-///
-/// Panics if `spec.backend` is not [`BackendKind::NativeTl2`], or if
-/// `verify` (or a worker) panics.
-pub fn run_native_workload(
-    spec: &RunSpec,
-    heap: &NativeTl2,
-    setup: impl FnOnce(&NativeTl2),
-    body: impl Fn(&mut NativeThread<'_>) + Sync,
-    verify: impl FnOnce(&NativeTl2),
-    ops: u64,
-) -> NativeOutcome {
-    assert_eq!(
-        spec.backend,
-        BackendKind::NativeTl2,
-        "run_native_workload drives host atomics; use run_workload for \
-         the simulated backend"
-    );
-    setup(heap);
-    let (stats, _) = run_threads(heap, spec.threads, body);
-    verify(heap);
-    NativeOutcome {
-        threads: spec.threads,
-        ops,
-        stats,
-        hybrid: HybridStats {
-            fast: stats,
-            ..HybridStats::default()
-        },
-    }
-}
-
-/// Builds native hybrid shared state with a heap sized like
-/// [`native_heap`] (statics ending at `static_end` plus `alloc_words` of
-/// transactional headroom), a 4096-stripe lock table, and a 1024-bin USTM
-/// ownership table for `threads` threads.
+/// Builds native hybrid shared state with a heap for statics ending at
+/// `static_end` (a byte address, exclusive) plus `alloc_words` words of
+/// transactional allocation headroom, a 4096-stripe lock table, and a
+/// 1024-bin USTM ownership table for `threads` threads, under the
+/// default [`NativeHybridPolicy`].
 #[must_use]
 pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -> NativeHybrid {
+    native_world(BackendKind::NativeHybrid, static_end, alloc_words, threads)
+}
+
+/// The one place a native world is built. [`BackendKind::NativeTl2`] is
+/// the hybrid with failover off; everything else about the two native
+/// systems is the same.
+fn native_world(
+    backend: BackendKind,
+    static_end: Addr,
+    alloc_words: u64,
+    threads: usize,
+) -> NativeHybrid {
+    let policy = match backend {
+        BackendKind::NativeTl2 => NativeHybridPolicy {
+            failover_after: None,
+            ..NativeHybridPolicy::default()
+        },
+        BackendKind::NativeHybrid => NativeHybridPolicy::default(),
+        BackendKind::Simulated => {
+            panic!("a native run needs a native backend; use run_workload for the simulator")
+        }
+    };
     let base_word = static_end.0.next_multiple_of(64) / 8;
     NativeHybrid::new(
         base_word + alloc_words,
@@ -367,41 +341,36 @@ pub fn native_hybrid_world(static_end: Addr, alloc_words: u64, threads: usize) -
         base_word,
         threads,
         1 << 10,
-        NativeHybridPolicy::default(),
+        policy,
     )
 }
 
-/// Runs one configuration on the native hybrid backend: `setup`
-/// populates the heap, every thread runs `body` through its
-/// [`HybridThread`] handle, `verify` checks invariants on the final heap
-/// (panicking on violation).
+/// Runs one configuration on the native backend `spec.backend` names, in
+/// a world sized like [`native_hybrid_world`]: `setup` populates the
+/// heap, every thread runs `body` through its [`HybridThread`] handle,
+/// `verify` checks invariants on the final heap (panicking on violation).
 ///
 /// # Panics
 ///
-/// Panics if `spec.backend` is not [`BackendKind::NativeHybrid`], or if
-/// `verify` (or a worker) panics.
-pub fn run_native_hybrid_workload(
+/// Panics if `spec.backend` is [`BackendKind::Simulated`], or if `verify`
+/// (or a worker) panics.
+pub fn run_native_workload(
     spec: &RunSpec,
-    shared: &NativeHybrid,
+    static_end: Addr,
+    alloc_words: u64,
     setup: impl FnOnce(&NativeTl2),
     body: impl Fn(&mut HybridThread<'_>) + Sync,
     verify: impl FnOnce(&NativeTl2),
     ops: u64,
 ) -> NativeOutcome {
-    assert_eq!(
-        spec.backend,
-        BackendKind::NativeHybrid,
-        "run_native_hybrid_workload drives the native hybrid; use \
-         run_native_workload for BackendKind::NativeTl2"
-    );
+    let shared = native_world(spec.backend, static_end, alloc_words, spec.threads);
     setup(shared.tl2());
-    let (stats, _) = run_hybrid_threads(shared, spec.threads, body);
+    let (stats, _) = run_hybrid_threads(&shared, spec.threads, body);
     verify(shared.tl2());
     NativeOutcome {
         threads: spec.threads,
         ops,
-        stats: stats.fast,
-        hybrid: stats,
+        stats,
     }
 }
 
@@ -418,6 +387,39 @@ pub fn chunk(total: usize, threads: usize, tid: usize) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ufotm_core::{Stop, TmBackend};
+
+    #[test]
+    fn native_total_commits_counts_the_serial_tier() {
+        // Fail over after one abort and escalate after one failed slow
+        // attempt: a body that stops twice commits on the serial tier.
+        let policy = NativeHybridPolicy {
+            failover_after: Some(1),
+            serial_after: 1,
+            ..NativeHybridPolicy::default()
+        };
+        let h = NativeHybrid::new(1 << 12, 1 << 12, 1 << 11, 1, 1 << 6, policy);
+        let (stats, _) = run_hybrid_threads(&h, 1, |th| {
+            let mut attempts = 0;
+            th.transaction(|_tx| {
+                attempts += 1;
+                if attempts <= 2 {
+                    return Err(Stop);
+                }
+                Ok(())
+            });
+        });
+        assert_eq!(
+            stats.serial_commits, 1,
+            "the body must reach the serial tier"
+        );
+        let out = NativeOutcome {
+            threads: 1,
+            ops: 1,
+            stats,
+        };
+        assert_eq!(out.total_commits(), out.ops);
+    }
 
     #[test]
     fn chunks_partition_exactly() {

@@ -17,8 +17,7 @@ use ufotm_machine::{Addr, Machine, LINE_WORDS};
 
 use crate::backend::SimBackend;
 use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
+    chunk, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
 };
 use crate::world::StampWorld;
 
@@ -282,27 +281,15 @@ pub fn run_native(spec: &RunSpec, params: &KmeansParams) -> NativeOutcome {
     let p = *params;
     let seed = spec.seed;
     let ops = (p.points * p.iterations) as u64;
-    if spec.backend == ufotm_core::BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), 0, spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |t| setup_data(p, seed, &mut |a, v| t.poke(a, v)),
-            |th| assign_body(th, p),
-            |t| check_final(p, seed, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), 0);
-        run_native_workload(
-            spec,
-            &heap,
-            |h| setup_data(p, seed, &mut |a, v| h.poke(a, v)),
-            |th| assign_body(th, p),
-            |h| check_final(p, seed, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    run_native_workload(
+        spec,
+        p.static_end(),
+        0,
+        |t| setup_data(p, seed, &mut |a, v| t.poke(a, v)),
+        |th| assign_body(th, p),
+        |t| check_final(p, seed, &|a| t.peek(a)),
+        ops,
+    )
 }
 
 #[cfg(test)]
@@ -360,7 +347,7 @@ mod tests {
     fn kmeans_verifies_on_native_threads() {
         let out = run_native(&RunSpec::native(4), &tiny());
         assert_eq!(out.ops, 96 * 2);
-        assert_eq!(out.stats.commits, 96 * 2, "one commit per assignment");
+        assert_eq!(out.stats.fast.commits, 96 * 2, "one commit per assignment");
     }
 
     #[test]

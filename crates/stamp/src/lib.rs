@@ -23,11 +23,12 @@
 //! workload bodies, machine configuration, and result collection together
 //! for the benchmark drivers in `ufotm-bench`.
 //!
-//! Two workloads (kmeans and ssca2) are additionally written against the
+//! kmeans, ssca2, vacation and genome are written against the
 //! substrate-agnostic [`TmBackend`](ufotm_core::TmBackend) traits via
 //! [`backend::SimBackend`], so the *same body* also runs on `ufotm-native`'s
-//! host-atomics TL2 (`kmeans::run_native`, `ssca2::run_native`) for
-//! wall-clock throughput and sim-vs-native cross-validation.
+//! driver (each workload's `run_native`) for wall-clock throughput and
+//! sim-vs-native cross-validation: TL2-only, which is the native hybrid with
+//! failover off, or the failover hybrid, as `RunSpec::backend` selects.
 //!
 //! [`Tx`]: ufotm_core::Tx
 //! [`SystemKind`]: ufotm_core::SystemKind

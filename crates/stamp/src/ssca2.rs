@@ -16,8 +16,7 @@ use ufotm_machine::{Addr, Machine, LINE_WORDS};
 
 use crate::backend::SimBackend;
 use crate::harness::{
-    chunk, native_heap, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec,
-    STATIC_BASE,
+    chunk, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
 };
 use crate::world::StampWorld;
 
@@ -142,7 +141,9 @@ pub fn run(spec: &RunSpec, params: &Ssca2Params) -> RunOutcome {
     run_workload(spec, setup, make_body, verify)
 }
 
-/// Runs ssca2 on the native host-atomics TL2 backend.
+/// Runs ssca2 on a native backend — TL2-only or the failover hybrid, per
+/// `spec.backend`: the *same* `insert_body` on real OS threads, verified
+/// by the same host replay.
 ///
 /// # Panics
 ///
@@ -152,13 +153,13 @@ pub fn run_native(spec: &RunSpec, params: &Ssca2Params) -> NativeOutcome {
     let seed = spec.seed;
     // Allocation headroom: 2 words per edge, with generous slack because
     // every aborted attempt leaks its cell (bump allocator).
-    let heap = native_heap(p.static_end(), p.edges as u64 * 2 * 64);
     run_native_workload(
         spec,
-        &heap,
+        p.static_end(),
+        p.edges as u64 * 2 * 64,
         |_| {},
         |th| insert_body(th, p, seed),
-        |h| check_final(p, seed, &|a| h.peek(a)),
+        |t| check_final(p, seed, &|a| t.peek(a)),
         p.edges as u64,
     )
 }
@@ -218,6 +219,6 @@ mod tests {
     fn ssca2_verifies_on_native_threads() {
         let out = run_native(&RunSpec::native(4), &tiny());
         assert_eq!(out.ops, 120);
-        assert_eq!(out.stats.commits, 120, "one commit per edge");
+        assert_eq!(out.stats.fast.commits, 120, "one commit per edge");
     }
 }

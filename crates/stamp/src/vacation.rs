@@ -22,13 +22,12 @@
 //! (BST deletion adds no new TM behaviour), and customer records accumulate
 //! reservation counts instead of linked reservation lists.
 
-use ufotm_core::{BackendKind, TmBackend};
+use ufotm_core::TmBackend;
 use ufotm_machine::{Addr, Machine, SimRng};
 
 use crate::backend::SimBackend;
 use crate::harness::{
-    chunk, native_heap, native_hybrid_world, run_native_hybrid_workload, run_native_workload,
-    run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
+    chunk, run_native_workload, run_workload, NativeOutcome, RunOutcome, RunSpec, STATIC_BASE,
 };
 use crate::structures::{BstMap, Peek};
 use crate::world::StampWorld;
@@ -307,43 +306,23 @@ pub fn run_native(spec: &RunSpec, params: &VacationParams) -> NativeOutcome {
     let p = *params;
     let seed = spec.seed;
     let ops = p.total_tasks as u64;
-    if spec.backend == BackendKind::NativeHybrid {
-        let h = native_hybrid_world(p.static_end(), p.native_alloc_words(), spec.threads);
-        run_native_hybrid_workload(
-            spec,
-            &h,
-            |t| {
-                setup_data(
-                    p,
-                    seed,
-                    &|a| t.peek(a),
-                    &mut |a, v| t.poke(a, v),
-                    &mut |w| t.host_alloc(w),
-                )
-            },
-            |th| task_body(th, p, seed),
-            |t| check_final(p, &|a| t.peek(a)),
-            ops,
-        )
-    } else {
-        let heap = native_heap(p.static_end(), p.native_alloc_words());
-        run_native_workload(
-            spec,
-            &heap,
-            |h| {
-                setup_data(
-                    p,
-                    seed,
-                    &|a| h.peek(a),
-                    &mut |a, v| h.poke(a, v),
-                    &mut |w| h.host_alloc(w),
-                )
-            },
-            |th| task_body(th, p, seed),
-            |h| check_final(p, &|a| h.peek(a)),
-            ops,
-        )
-    }
+    run_native_workload(
+        spec,
+        p.static_end(),
+        p.native_alloc_words(),
+        |t| {
+            setup_data(
+                p,
+                seed,
+                &|a| t.peek(a),
+                &mut |a, v| t.poke(a, v),
+                &mut |w| t.host_alloc(w),
+            )
+        },
+        |th| task_body(th, p, seed),
+        |t| check_final(p, &|a| t.peek(a)),
+        ops,
+    )
 }
 
 #[cfg(test)]
